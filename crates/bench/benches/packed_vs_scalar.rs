@@ -11,9 +11,12 @@
 //! * **expand** — seed-window expansion
 //!   ([`ss_core::try_expand_seed_packed`] vs
 //!   [`ss_core::try_expand_seed`]);
-//! * **embed** — fortuitous-embedding detection
-//!   ([`ss_core::EmbeddingMap::build`] vs
-//!   [`EmbeddingMap::build_scalar`](ss_core::EmbeddingMap::build_scalar)).
+//! * **embed** — fortuitous-embedding detection: the table-driven,
+//!   64-seed-sliced [`ss_core::EmbeddingMap::build`] (the "packed"
+//!   column) vs
+//!   [`EmbeddingMap::build_scalar`](ss_core::EmbeddingMap::build_scalar),
+//!   on `mini` and on s38417/s38584 at scale 0.25 with the warm-repeat
+//!   knobs (L=24 S=4 k=6).
 //!
 //! Besides the criterion console output, the run records the measured
 //! throughput ratios in `BENCH_packed.json` at the workspace root —
@@ -29,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use ss_circuit::{random_circuit, CircuitSpec, FaultList, FaultSimulator};
 use ss_core::{try_expand_seed, EmbeddingMap, Engine, PackedWindowExpander, Table};
 use ss_gf2::{BitVec, PackedPatterns};
-use ss_testdata::{generate_test_set, CubeProfile};
+use ss_testdata::{generate_test_set, CubeProfile, TestSet};
 
 /// Seconds per iteration: one warm-up call, then at least one measured
 /// iteration, continuing until ~300 ms of samples are collected.
@@ -96,7 +99,7 @@ fn expand_rows(rows: &mut Vec<Row>) {
         try_expand_seed(ctx.lfsr(), ctx.shifter(), set.config(), &seed, window).unwrap()
     });
     // production path: the expander is built once per hardware and
-    // amortised over every seed (as EmbeddingMap::build does)
+    // amortised over every seed (as vector emission does)
     let expander =
         PackedWindowExpander::new(ctx.lfsr(), ctx.shifter(), set.config(), window).unwrap();
     let packed_s = time_per_iter(|| expander.expand(&seed).unwrap());
@@ -109,16 +112,39 @@ fn expand_rows(rows: &mut Vec<Row>) {
 }
 
 fn embed_rows(rows: &mut Vec<Row>) {
-    let set = generate_test_set(&CubeProfile::mini(), ss_bench::WORKLOAD_SEED);
-    let engine = Engine::builder().window(64).segment(4).build().unwrap();
-    let encoded = engine.encode(&set).expect("standard workload encodes");
-    let (lfsr, shifter) = (encoded.ctx().lfsr(), encoded.ctx().shifter());
-    let scalar_s =
-        time_per_iter(|| EmbeddingMap::build_scalar(&set, encoded.encoding(), lfsr, shifter));
-    let packed_s = time_per_iter(|| EmbeddingMap::build(&set, encoded.encoding(), lfsr, shifter));
+    let mini = generate_test_set(&CubeProfile::mini(), ss_bench::WORKLOAD_SEED);
+    let mini_engine = Engine::builder().window(64).segment(4).build().unwrap();
+    embed_row(rows, "embed/mini-L64", &mini, &mini_engine);
+    // the heavy registry workloads at the warm-repeat scale and knobs,
+    // where every warm hit pays for embed
+    for profile in [CubeProfile::s38417(), CubeProfile::s38584()] {
+        let profile = profile.scaled(0.25);
+        let engine = Engine::builder()
+            .window(24)
+            .segment(4)
+            .speedup(6)
+            .lfsr_size(profile.lfsr_size)
+            .build()
+            .unwrap();
+        let (set, _) = engine
+            .encodable_subset(&ss_bench::workload(&profile))
+            .unwrap();
+        embed_row(rows, &format!("embed/{}-L24", profile.name), &set, &engine);
+    }
+}
+
+/// One embed row: the table-driven build against the scalar oracle,
+/// both on one thread.
+fn embed_row(rows: &mut Vec<Row>, name: &str, set: &TestSet, engine: &Engine) {
+    let encoded = engine.encode(set).expect("standard workload encodes");
+    let ctx = encoded.ctx();
+    let scalar_s = time_per_iter(|| {
+        EmbeddingMap::build_scalar(set, encoded.encoding(), ctx.lfsr(), ctx.shifter())
+    });
+    let packed_s = time_per_iter(|| EmbeddingMap::build(set, encoded.encoding(), ctx.table()));
     rows.push(Row {
-        name: "embed/mini-L64".to_string(),
-        work_items: encoded.seed_count() * 64,
+        name: name.to_string(),
+        work_items: encoded.seed_count() * encoded.encoding().window,
         scalar_s,
         packed_s,
     });
@@ -139,9 +165,11 @@ fn write_json(rows: &[Row]) {
             row.speedup()
         ));
     }
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"bench\": \"packed_vs_scalar\",\n  \"command\": \"cargo bench -p ss-bench --bench packed_vs_scalar\",\n  \"ss_scale\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"packed_vs_scalar\",\n  \"command\": \"cargo bench -p ss-bench --bench packed_vs_scalar\",\n  \"ss_scale\": {},\n  \"available_parallelism\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         ss_bench::scale(),
+        parallelism,
         entries
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_packed.json");

@@ -343,8 +343,7 @@ impl<'a> Encoded<'a> {
         let embedding = EmbeddingMap::build_threaded(
             self.set,
             &self.encoding,
-            self.ctx.lfsr(),
-            self.ctx.shifter(),
+            self.ctx.table(),
             resolve_threads(self.ctx.config().threads),
         );
         Embedded {

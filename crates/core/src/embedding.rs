@@ -8,20 +8,30 @@
 //! a cube is embedded, the more freedom the useful-segment selection
 //! has.
 
-use ss_gf2::{BitVec, PATTERNS_PER_BLOCK};
+use ss_gf2::BitVec;
 use ss_lfsr::{Lfsr, PhaseShifter};
 use ss_testdata::TestSet;
 
 use crate::encoder::EncodingResult;
-use crate::pipeline::{try_expand_seed, PackedWindowExpander};
+use crate::expr_table::ExprTable;
+use crate::pipeline::try_expand_seed;
+
+/// Seeds evaluated together: seed `k` of a block is bit lane `k` of
+/// every `u64` the block works on.
+const SEEDS_PER_BLOCK: usize = 64;
+
+/// Seed variables per Four-Russians lookup table (256 entries each).
+const GROUP_BITS: usize = 8;
 
 /// For every cube, every `(seed, window position)` whose expanded
 /// vector embeds it — intentional and fortuitous matches alike.
 ///
 /// # Example
 ///
-/// See [`Pipeline`](crate::Pipeline) for the full flow; the map is
-/// exposed as [`PipelineReport::embedding`](crate::PipelineReport).
+/// See [`Engine`](crate::Engine) for the staged flow; the map is the
+/// output of [`Encoded::embed`](crate::Encoded::embed), exposed as
+/// [`Embedded::embedding`](crate::Embedded::embedding) and
+/// [`PipelineReport::embedding`](crate::PipelineReport).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmbeddingMap {
     /// `matches[cube]` = sorted `(seed, position)` pairs.
@@ -30,82 +40,113 @@ pub struct EmbeddingMap {
     seed_count: usize,
 }
 
+/// The cubes' care bits, re-indexed onto the compact list of scan
+/// cells some cube cares about. Built once per map and shared
+/// read-only by every worker.
+struct CarePlan {
+    /// [`ExprTable::row_offset`] of each needed cell, by needed index.
+    offsets: Vec<usize>,
+    /// Every cube's care bits, flattened, each as `needed index << 1`
+    /// with the low bit set for a care-0 bit.
+    bits: Vec<u32>,
+    /// Cube `c` owns `bits[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl CarePlan {
+    fn new(set: &TestSet, table: &ExprTable) -> Self {
+        let mut needed = vec![u32::MAX; set.config().cells()];
+        let mut offsets = Vec::new();
+        let mut bits = Vec::new();
+        let mut starts = vec![0];
+        for cube in set {
+            for (cell, value) in cube.iter_specified() {
+                if needed[cell] == u32::MAX {
+                    needed[cell] = u32::try_from(offsets.len()).expect("cell count fits u32");
+                    offsets.push(table.row_offset(cell));
+                }
+                bits.push(needed[cell] << 1 | u32::from(!value));
+            }
+            starts.push(bits.len());
+        }
+        CarePlan {
+            offsets,
+            bits,
+            starts,
+        }
+    }
+}
+
 impl EmbeddingMap {
-    /// Expands every seed and records all cube matches — the primary,
-    /// word-parallel path: each seed's window is generated as packed
-    /// 64-position blocks ([`PackedWindowExpander`]) and every cube
-    /// is matched against a whole block at once with
-    /// [`TestCube::match_mask`](ss_testdata::TestCube::match_mask).
-    /// Results are bit-identical to [`EmbeddingMap::build_scalar`],
-    /// which property tests pin.
+    /// Evaluates every seed's window straight from the expression
+    /// table and records all cube matches.
     ///
-    /// `lfsr` and `shifter` must be the same hardware the encoding was
+    /// Seeds are taken 64 at a time and bit-sliced, so one `u64`
+    /// carries one seed variable for the whole block. Each table row
+    /// is then a linear form over those slices, evaluated for all 64
+    /// seeds at once through 8-bit lookup tables (the Method of Four
+    /// Russians). Only rows of scan cells that some cube cares about
+    /// are evaluated. A cube is matched by ANDing its care bits into a
+    /// 64-seed mask, stopping as soon as the mask empties. Results are
+    /// bit-identical to [`EmbeddingMap::build_scalar`], which property
+    /// tests pin.
+    ///
+    /// `table` must come from the same hardware the encoding was
     /// computed against, otherwise the intentional placements will not
     /// even match (and [`EmbeddingMap::validate`] will say so).
-    pub fn build(
-        set: &TestSet,
-        result: &EncodingResult,
-        lfsr: &Lfsr,
-        shifter: &PhaseShifter,
-    ) -> Self {
-        Self::build_threaded(set, result, lfsr, shifter, 1)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's scan geometry or seed width differs from
+    /// the encoding's, or the table covers fewer window positions than
+    /// the encoding uses.
+    pub fn build(set: &TestSet, result: &EncodingResult, table: &ExprTable) -> Self {
+        Self::build_threaded(set, result, table, 1)
     }
 
-    /// [`build`](Self::build) with the seeds partitioned across up to
-    /// `threads` scoped worker threads. Each worker expands and
-    /// matches a contiguous seed range against the shared (read-only)
-    /// expander with its own packed scratch buffer; per-cube match
-    /// lists are concatenated in seed-range order, so the map is
+    /// [`build`](Self::build) with the 64-seed blocks partitioned
+    /// across up to `threads` scoped worker threads. Each worker
+    /// matches a contiguous block range with its own scratch; per-cube
+    /// match lists are concatenated in block order, so the map is
     /// **bit-identical at every thread count**.
+    ///
+    /// # Panics
+    ///
+    /// As [`build`](Self::build).
     pub fn build_threaded(
         set: &TestSet,
         result: &EncodingResult,
-        lfsr: &Lfsr,
-        shifter: &PhaseShifter,
+        table: &ExprTable,
         threads: usize,
     ) -> Self {
-        let expander = PackedWindowExpander::new(lfsr, shifter, set.config(), result.window)
-            .expect("encoding and hardware share one geometry");
+        assert_eq!(table.scan(), set.config(), "table and set share one scan");
+        assert_eq!(
+            table.vars(),
+            result.lfsr_size,
+            "table and seeds share one LFSR"
+        );
+        assert!(
+            result.window <= table.window(),
+            "table covers {} positions, encoding needs {}",
+            table.window(),
+            result.window
+        );
+        let plan = CarePlan::new(set, table);
         let seed_count = result.seeds.len();
-        let threads = threads.clamp(1, seed_count.max(1));
-        let match_range = |range: std::ops::Range<usize>| {
-            let mut matches = vec![Vec::new(); set.len()];
-            let mut packed = ss_gf2::PackedPatterns::zeros(0, 0);
-            for si in range {
-                expander
-                    .expand_into(&result.seeds[si].seed, &mut packed)
-                    .expect("encoded seeds match the LFSR width");
-                for (ci, cube) in set.iter().enumerate() {
-                    for block in 0..packed.block_count() {
-                        let mut mask = cube.match_mask(&packed, block);
-                        while mask != 0 {
-                            let v = block * PATTERNS_PER_BLOCK + mask.trailing_zeros() as usize;
-                            matches[ci].push((si, v));
-                            mask &= mask - 1;
-                        }
-                    }
-                }
+        let blocks = seed_count.div_ceil(SEEDS_PER_BLOCK);
+        let threads = threads.clamp(1, blocks.max(1));
+        let chunk = blocks.div_ceil(threads);
+        let partials = crate::builder::run_pool(threads, threads, |w| {
+            let range = (w * chunk).min(blocks)..((w + 1) * chunk).min(blocks);
+            match_blocks(set.len(), result, table, &plan, range)
+        });
+        let mut partials = partials.into_iter();
+        let mut matches = partials.next().expect("at least one worker");
+        for partial in partials {
+            for (list, mut tail) in matches.iter_mut().zip(partial) {
+                list.append(&mut tail);
             }
-            matches
-        };
-        let matches = if threads <= 1 {
-            match_range(0..seed_count)
-        } else {
-            // contiguous seed ranges per worker; concatenating the
-            // per-cube lists in range order preserves the sequential
-            // (seed, position) ordering exactly
-            let chunk = seed_count.div_ceil(threads);
-            let partials = crate::builder::run_pool(threads, threads, |w| {
-                match_range(w * chunk..((w + 1) * chunk).min(seed_count))
-            });
-            let mut matches = vec![Vec::new(); set.len()];
-            for partial in partials {
-                for (ci, mut list) in partial.into_iter().enumerate() {
-                    matches[ci].append(&mut list);
-                }
-            }
-            matches
-        };
+        }
         EmbeddingMap {
             matches,
             window: result.window,
@@ -201,6 +242,88 @@ impl EmbeddingMap {
     }
 }
 
+/// Matches every cube against the 64-seed blocks in `blocks`: the
+/// per-cube `(seed, position)` lists, sorted, for that seed range.
+fn match_blocks(
+    cubes: usize,
+    result: &EncodingResult,
+    table: &ExprTable,
+    plan: &CarePlan,
+    blocks: std::ops::Range<usize>,
+) -> Vec<Vec<(usize, usize)>> {
+    let window = result.window;
+    let groups = table.vars().div_ceil(GROUP_BITS);
+    let rows_per_position = table.rows_per_position();
+    // scratch reused across blocks: `slices[j]` is seed bit `j` of
+    // every lane; one 256-entry table per group of GROUP_BITS seed
+    // variables holds the XOR of the group's slices selected by each
+    // byte value; `values[i]` is needed cell `i` at the current window
+    // position, one lane per seed
+    let mut slices = vec![0u64; table.stride() * 64];
+    let mut luts = vec![0u64; groups << GROUP_BITS];
+    let mut values = vec![0u64; plan.offsets.len()];
+    let mut block_start = vec![0usize; cubes];
+    let mut matches = vec![Vec::new(); cubes];
+    for block in blocks {
+        let first = block * SEEDS_PER_BLOCK;
+        let seeds = &result.seeds[first..result.seeds.len().min(first + SEEDS_PER_BLOCK)];
+        let live = u64::MAX >> (SEEDS_PER_BLOCK - seeds.len());
+
+        slices.fill(0);
+        for (lane, enc) in seeds.iter().enumerate() {
+            for (w, &word) in enc.seed.as_words().iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    slices[w * 64 + rest.trailing_zeros() as usize] |= 1 << lane;
+                    rest &= rest - 1;
+                }
+            }
+        }
+        for (g, lut) in luts.chunks_exact_mut(1 << GROUP_BITS).enumerate() {
+            let group = &slices[g * GROUP_BITS..];
+            for b in 1..lut.len() {
+                lut[b] = lut[b & (b - 1)] ^ group[b.trailing_zeros() as usize];
+            }
+        }
+
+        for (start, list) in block_start.iter_mut().zip(&matches) {
+            *start = list.len();
+        }
+        for p in 0..window {
+            let base = p * rows_per_position;
+            for (value, &offset) in values.iter_mut().zip(&plan.offsets) {
+                let words = table.row_words(base + offset);
+                let mut acc = 0;
+                for (g, lut) in luts.chunks_exact(1 << GROUP_BITS).enumerate() {
+                    let byte = words[g * GROUP_BITS / 64] >> (g * GROUP_BITS % 64) & 0xff;
+                    acc ^= lut[byte as usize];
+                }
+                *value = acc;
+            }
+            for (ci, list) in matches.iter_mut().enumerate() {
+                let mut mask = live;
+                for &bit in &plan.bits[plan.starts[ci]..plan.starts[ci + 1]] {
+                    // a care-0 bit keeps the lanes where the cell is 0
+                    let flip = 0u64.wrapping_sub(u64::from(bit & 1));
+                    mask &= values[(bit >> 1) as usize] ^ flip;
+                    if mask == 0 {
+                        break;
+                    }
+                }
+                while mask != 0 {
+                    list.push((first + mask.trailing_zeros() as usize, p));
+                    mask &= mask - 1;
+                }
+            }
+        }
+        // pushed position-major; the map is seed-major
+        for (list, &start) in matches.iter_mut().zip(&block_start) {
+            list[start..].sort_unstable();
+        }
+    }
+    matches
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_build_matches_the_scalar_oracle() {
+    fn table_build_matches_the_scalar_oracle() {
         use crate::artifacts::Encoded;
         use crate::builder::Engine;
         use ss_testdata::{generate_test_set, CubeProfile};
@@ -253,21 +376,16 @@ mod tests {
             .unwrap();
         let ctx = engine.synthesize(&set).unwrap();
         let encoded = Encoded::from_ctx_ref(&set, &ctx).unwrap();
-        let packed = EmbeddingMap::build(&set, encoded.encoding(), ctx.lfsr(), ctx.shifter());
+        let map = EmbeddingMap::build(&set, encoded.encoding(), ctx.table());
         let scalar =
             EmbeddingMap::build_scalar(&set, encoded.encoding(), ctx.lfsr(), ctx.shifter());
-        assert_eq!(packed, scalar, "embedding maps must agree bit for bit");
-        assert!(packed.validate());
+        assert_eq!(map, scalar, "embedding maps must agree bit for bit");
+        assert!(map.validate());
         // the threaded build is the same map at every worker count,
         // including widths beyond the seed count
         for threads in [2usize, 3, 64] {
-            let threaded = EmbeddingMap::build_threaded(
-                &set,
-                encoded.encoding(),
-                ctx.lfsr(),
-                ctx.shifter(),
-                threads,
-            );
+            let threaded =
+                EmbeddingMap::build_threaded(&set, encoded.encoding(), ctx.table(), threads);
             assert_eq!(threaded, scalar, "threads={threads}");
         }
     }

@@ -122,7 +122,8 @@ pub fn try_expand_seed_packed(
 /// territory: one [`BitMatrix::pow`](ss_gf2::BitMatrix::pow) at
 /// construction) instead of `64·r` scalar `step()`s per block. This
 /// is the generation path behind
-/// [`EmbeddingMap::build`](crate::EmbeddingMap::build).
+/// [`sequence_coverage`](crate::sequence_coverage), which emits the
+/// applied vectors for fault simulation.
 ///
 /// [`PackedLfsrStream`]: ss_lfsr::PackedLfsrStream
 /// [`ExpressionStream::to_matrix`]: ss_lfsr::ExpressionStream::to_matrix

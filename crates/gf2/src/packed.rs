@@ -241,32 +241,6 @@ impl PackedPatterns {
         out.clear();
         out.extend(self.slices.iter().map(|s| s.word(block)));
     }
-
-    /// The cube-matching kernel: the mask of patterns in `block` that
-    /// agree with `values` on every position selected by `care`.
-    ///
-    /// A test cube with care-mask `care` and values `values` is
-    /// embedded in pattern `p` of the block iff bit `p` of the result
-    /// is set. Cost is one word-op per specified bit, so a whole block
-    /// of 64 patterns is matched in `O(specified)` time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= block_count()` or either vector's length
-    /// differs from `width()`.
-    pub fn match_mask(&self, block: usize, values: &BitVec, care: &BitVec) -> u64 {
-        assert_eq!(values.len(), self.width, "values width mismatch");
-        assert_eq!(care.len(), self.width, "care width mismatch");
-        let mut mask = self.block_mask(block);
-        for i in care.iter_ones() {
-            let word = self.slices[i].word(block);
-            mask &= if values.get(i) { word } else { !word };
-            if mask == 0 {
-                break;
-            }
-        }
-        mask
-    }
 }
 
 #[cfg(test)]
@@ -370,39 +344,6 @@ mod tests {
         for (p, row) in rows.iter().enumerate() {
             for (i, &w) in words.iter().enumerate() {
                 assert_eq!((w >> p) & 1 == 1, row.get(i), "pattern {p} bit {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn match_mask_agrees_with_scalar_matching() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let rows = random_rows(24, 100, 9);
-        let packed = PackedPatterns::from_vectors(24, &rows);
-        for _ in 0..20 {
-            // random cube: ~25% of positions specified
-            let care = {
-                let mut c = BitVec::zeros(24);
-                for i in 0..24 {
-                    if rng.gen_bool(0.25) {
-                        c.set(i, true);
-                    }
-                }
-                c
-            };
-            let mut values = BitVec::random(24, &mut rng);
-            values.and_with(&care);
-            for block in 0..packed.block_count() {
-                let mask = packed.match_mask(block, &values, &care);
-                for lane in 0..64 {
-                    let p = block * 64 + lane;
-                    if p >= packed.count() {
-                        assert_eq!((mask >> lane) & 1, 0, "tail lane must be clear");
-                        continue;
-                    }
-                    let expect = values.eq_under_mask(&rows[p], &care);
-                    assert_eq!((mask >> lane) & 1 == 1, expect, "pattern {p}");
-                }
             }
         }
     }

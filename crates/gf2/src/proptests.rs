@@ -258,26 +258,4 @@ proptest! {
         prop_assert_eq!(packed, packed2);
     }
 
-    #[test]
-    fn packed_match_mask_equals_scalar_cube_matching(
-        rows in proptest::collection::vec(bitvec(17), 1..130),
-        care in bitvec(17),
-        raw_values in bitvec(17),
-    ) {
-        let mut values = raw_values;
-        values.and_with(&care);
-        let packed = crate::PackedPatterns::from_vectors(17, &rows);
-        for block in 0..packed.block_count() {
-            let mask = packed.match_mask(block, &values, &care);
-            for lane in 0..64 {
-                let p = block * 64 + lane;
-                let got = (mask >> lane) & 1 == 1;
-                if p < rows.len() {
-                    prop_assert_eq!(got, values.eq_under_mask(&rows[p], &care));
-                } else {
-                    prop_assert!(!got, "tail lane {} must stay clear", lane);
-                }
-            }
-        }
-    }
 }

@@ -845,10 +845,14 @@ impl Balancer {
     }
 
     /// Enables or disables trace stamping for future submissions
-    /// (default on). A context the caller put on the spec themselves
-    /// always travels regardless.
+    /// (default on), on the balancer and on every shard connection. A
+    /// context the caller put on the spec themselves always travels
+    /// regardless.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
+        for client in self.conns.iter_mut().flatten() {
+            client.set_tracing(on);
+        }
     }
 
     /// Records one balancer-side span (dropped when untraced or at
@@ -1176,7 +1180,9 @@ impl Balancer {
     fn ensure_conn(&mut self, shard: usize) -> Result<(), ClientError> {
         if self.conns[shard].is_none() {
             let addr = self.ring.shards()[shard].as_str();
-            self.conns[shard] = Some(Client::connect(addr)?);
+            let mut client = Client::connect(addr)?;
+            client.set_tracing(self.tracing);
+            self.conns[shard] = Some(client);
         }
         Ok(())
     }
@@ -1227,6 +1233,7 @@ impl Balancer {
         // an address outside our ring (rolling reconfiguration):
         // honor it with a one-shot connection
         let mut client = Client::connect(addr)?;
+        client.set_tracing(self.tracing);
         self.policy.reset();
         let (job, report) = client.run_direct_with(spec, &mut self.policy)?;
         Ok(BalancedRun {
@@ -1287,6 +1294,94 @@ mod tests {
             attempts: 1
         }
         .is_retryable());
+    }
+
+    /// An untraced balancer submits untraced to every shard: through
+    /// shard connections opened after `set_tracing(false)` and through
+    /// connections already open when the flag is toggled.
+    #[test]
+    fn untraced_balancer_reaches_every_shard_connection() {
+        use crate::server::{ServeOptions, Server};
+        use crate::shard::ShardSpec;
+        use ss_testdata::{generate_test_set, CubeProfile};
+
+        let servers: Vec<Server> = (0..2)
+            .map(|_| {
+                Server::bind(&ServeOptions {
+                    workers: 1,
+                    cache_bytes: 16 << 20,
+                    ..ServeOptions::default()
+                })
+                .unwrap()
+            })
+            .collect();
+        let peers: Vec<String> = servers
+            .iter()
+            .map(|s| s.local_addr().unwrap().to_string())
+            .collect();
+        let _handles: Vec<_> = servers
+            .into_iter()
+            .enumerate()
+            .map(|(id, mut server)| {
+                let spec = ShardSpec {
+                    peers: peers.clone(),
+                    id,
+                    epoch: 0,
+                };
+                server.set_shards(spec).unwrap();
+                server.spawn()
+            })
+            .collect();
+
+        let mut balancer = Balancer::new(peers).unwrap();
+        balancer.set_tracing(false);
+        // one input owned by each shard (ports are ephemeral, so the
+        // owners are found rather than assumed)
+        let engine = ss_core::Engine::builder()
+            .window(16)
+            .segment(4)
+            .speedup(4)
+            .build()
+            .unwrap();
+        let mut specs: Vec<Option<JobSpec>> = vec![None, None];
+        for seed in 1.. {
+            let spec = JobSpec::new(
+                &generate_test_set(&CubeProfile::mini(), seed),
+                engine.config(),
+            );
+            let owner = balancer.ring().owner(cache_key(&spec));
+            specs[owner].get_or_insert(spec);
+            if specs.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let specs: Vec<JobSpec> = specs.into_iter().flatten().collect();
+
+        let traces = |balancer: &mut Balancer| -> Vec<(usize, u64)> {
+            specs
+                .iter()
+                .map(|spec| {
+                    let run = balancer.run(spec).unwrap();
+                    (run.shard, run.report.trace)
+                })
+                .collect()
+        };
+        assert_eq!(
+            traces(&mut balancer),
+            [(0, 0), (1, 0)],
+            "off before connecting"
+        );
+        balancer.set_tracing(true);
+        assert!(
+            traces(&mut balancer).iter().all(|&(_, trace)| trace != 0),
+            "on with connections open"
+        );
+        balancer.set_tracing(false);
+        assert_eq!(
+            traces(&mut balancer),
+            [(0, 0), (1, 0)],
+            "off with connections open"
+        );
     }
 
     /// A server that answers every submission `Busy` forever: the run

@@ -139,20 +139,6 @@ impl TestCube {
         self.values.eq_under_mask(vector, &self.care)
     }
 
-    /// The 64-bit mask of patterns in `block` of a packed pattern list
-    /// that embed this cube (bit `p` set means pattern `block*64 + p`
-    /// [`matches`](TestCube::matches)) — the word-parallel form of the
-    /// embedding relation, one word-op per specified bit for a whole
-    /// block of 64 candidate vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patterns.width() != len()` or `block` is out of
-    /// range.
-    pub fn match_mask(&self, patterns: &ss_gf2::PackedPatterns, block: usize) -> u64 {
-        patterns.match_mask(block, &self.values, &self.care)
-    }
-
     /// `true` if the two cubes agree on every position where both are
     /// specified (they could be merged into one cube).
     ///
@@ -293,22 +279,6 @@ mod tests {
         let cube: TestCube = text.parse().unwrap();
         assert_eq!(cube.to_string(), text);
         assert_eq!(cube.specified_count(), 5);
-    }
-
-    #[test]
-    fn match_mask_agrees_with_scalar_matches() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let cube: TestCube = "1X0XX1".parse().unwrap();
-        let vectors: Vec<BitVec> = (0..70).map(|_| BitVec::random(6, &mut rng)).collect();
-        let packed = ss_gf2::PackedPatterns::from_vectors(6, &vectors);
-        for block in 0..packed.block_count() {
-            let mask = cube.match_mask(&packed, block);
-            for lane in 0..64 {
-                let p = block * 64 + lane;
-                let expect = p < vectors.len() && cube.matches(&vectors[p]);
-                assert_eq!((mask >> lane) & 1 == 1, expect, "pattern {p}");
-            }
-        }
     }
 
     #[test]

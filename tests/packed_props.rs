@@ -2,14 +2,96 @@
 //! against their scalar reference oracles, bit for bit: fault
 //! simulation coverage, seed-window expansion, and the
 //! embedding-map/TSL measurements the paper's tables are built from.
+//! The embedding map's table-driven, 64-seed-sliced build is checked
+//! against the LFSR-stepping scalar oracle on every registry workload,
+//! both LFSR structures, and the 64-seed block edges.
 
 use proptest::prelude::*;
 
 use ss_circuit::{random_circuit, CircuitSpec, FaultList, FaultSimulator};
-use ss_core::{try_expand_seed, try_expand_seed_packed, EmbeddingMap, Engine, SegmentPlan};
+use ss_core::{
+    try_expand_seed, try_expand_seed_packed, EmbeddingMap, Encoded, EncodingResult, Engine,
+    HardwareCtx, SegmentPlan,
+};
 use ss_gf2::{BitVec, PackedPatterns};
 use ss_lfsr::LfsrKind;
-use ss_testdata::{generate_test_set, CubeProfile};
+use ss_testdata::{generate_test_set, CubeProfile, TestCube, TestSet, WorkloadRegistry};
+
+/// Asserts the table-driven map equals the scalar oracle at every
+/// tested thread count, including more workers than seed blocks.
+fn assert_table_build_is_the_oracle(set: &TestSet, result: &EncodingResult, ctx: &HardwareCtx) {
+    let oracle = EmbeddingMap::build_scalar(set, result, ctx.lfsr(), ctx.shifter());
+    for threads in [1usize, 2, 3, 64] {
+        let map = EmbeddingMap::build_threaded(set, result, ctx.table(), threads);
+        assert_eq!(
+            map,
+            oracle,
+            "{} seeds, L={}, threads={threads}",
+            result.seeds.len(),
+            result.window
+        );
+    }
+}
+
+/// Synthesises `set`'s hardware and encodes its encodable subset, the
+/// way the server does.
+fn encode(set: &TestSet, engine: &Engine) -> (TestSet, HardwareCtx, EncodingResult) {
+    let ctx = engine.synthesize(set).unwrap();
+    let (encodable, _) = ctx.encodable_subset(set);
+    let result = Encoded::from_ctx_ref(&encodable, &ctx)
+        .unwrap()
+        .encoding()
+        .clone();
+    (encodable, ctx, result)
+}
+
+#[test]
+fn table_embedding_equals_the_scalar_oracle_on_every_registry_workload() {
+    for workload in WorkloadRegistry::all() {
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            let mut builder = Engine::builder()
+                .window(24)
+                .segment(4)
+                .speedup(6)
+                .lfsr_kind(kind);
+            let set = match workload.profile() {
+                Some(profile) => {
+                    builder = builder.lfsr_size(profile.lfsr_size);
+                    workload.test_set_scaled(0.1)
+                }
+                None => workload.test_set(),
+            };
+            let (set, ctx, result) = encode(&set, &builder.build().unwrap());
+            assert_table_build_is_the_oracle(&set, &result, &ctx);
+        }
+    }
+}
+
+/// Seed counts on both sides of the 64-seed block edges, a window
+/// longer than 64 positions, and an all-X cube that embeds everywhere.
+#[test]
+fn table_embedding_equals_the_scalar_oracle_at_block_edges() {
+    let mut set = generate_test_set(&CubeProfile::mini(), 7);
+    set.push(TestCube::all_x(set.config().cells())).unwrap();
+    for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+        let engine = Engine::builder()
+            .window(70)
+            .segment(5)
+            .lfsr_kind(kind)
+            .build()
+            .unwrap();
+        let (set, ctx, encoded) = encode(&set, &engine);
+        for count in [63usize, 64, 65, 129] {
+            // the real seeds, cycled to exactly `count`
+            let mut result = encoded.clone();
+            result.seeds = encoded.seeds.iter().cycle().take(count).cloned().collect();
+            assert_table_build_is_the_oracle(&set, &result, &ctx);
+            let map = EmbeddingMap::build(&set, &result, ctx.table());
+            assert!(map.validate());
+            assert_eq!(map.matches(set.len() - 1).len(), count * 70, "all-X cube");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
