@@ -4,19 +4,13 @@
 //! # Codec negotiation
 //!
 //! [`Client::connect`] opens the connection by offering the preferred
-//! codec configuration in a plain-frame [`Request::Hello`]. A v3
-//! server answers [`Response::HelloAck`] with the agreed parameters
-//! and every subsequent message travels through the negotiated chunk
-//! codec; an older server rejects the unfamiliar version with
-//! [`Response::Error`], and the client transparently downgrades to the
-//! legacy v2 single-frame mode — so one client binary speaks to both
-//! server generations. [`Client::connect_legacy`] skips the offer
-//! entirely and behaves exactly like a v2 client (useful for
-//! compatibility testing). The ack is also where the *protocol*
-//! generation is agreed: the server mirrors back `min(client, server)`
-//! in the ack's version byte, and the client stamps every subsequent
-//! request at that generation — a v4 client against a v3 server simply
-//! runs the connection at v3.
+//! codec configuration in a plain-frame [`Request::Hello`]. The server
+//! answers [`Response::HelloAck`] with the agreed parameters, and every
+//! subsequent message travels through the negotiated chunk codec. Any
+//! other answer fails the connect: a [`Response::Error`] (a server
+//! that refuses the offer or its version) becomes
+//! [`ClientError::Server`], and a shed [`Response::Busy`] becomes the
+//! retryable [`ClientError::Overloaded`].
 //!
 //! # Fleet routing
 //!
@@ -38,11 +32,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::cache_key;
-use crate::codec::{Codec, CodecConfig, CodecError, Transport};
+use crate::codec::{Codec, CodecConfig, CodecError};
 use crate::protocol::{
-    peek_version, read_frame, write_frame, JobPhase, JobReport, JobSpec, Request, Response,
-    ServerStats, Span, SpanDump, SpanKind, TraceContext, WireError, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, JobPhase, JobReport, JobSpec, Request, Response, ServerStats, Span,
+    SpanDump, SpanKind, TraceContext, WireError,
 };
 use crate::shard::{ShardError, ShardRing};
 use ss_telemetry::{fresh_trace_id, span_id, wall_micros, TraceClock};
@@ -326,9 +319,9 @@ impl Default for RetryPolicy {
 /// One synchronous connection to an `ss-server`.
 ///
 /// Every call writes one request message and reads one response
-/// message (each a single frame in legacy mode, one or more
-/// CRC-guarded chunk frames after codec negotiation); the connection
-/// can be reused for any number of calls.
+/// message, each one or more CRC-guarded chunk frames of the codec
+/// negotiated at connect time; the connection can be reused for any
+/// number of calls.
 ///
 /// ```no_run
 /// use ss_server::{Client, JobSpec, ServeOptions, Server};
@@ -349,26 +342,22 @@ impl Default for RetryPolicy {
 /// ```
 pub struct Client {
     stream: TcpStream,
-    transport: Transport,
-    /// Protocol generation stamped on requests: 3 after negotiation,
-    /// 2 in legacy mode (so an old server decodes them).
-    version: u8,
+    codec: Codec,
     /// Whether submissions are stamped with a fresh trace id when they
-    /// carry none. On by default; a no-op below protocol v6 (the
-    /// context field doesn't exist on the wire there).
+    /// carry none. On by default.
     tracing: bool,
     /// The trace id of the most recent submission (0 when untraced).
     last_trace: u64,
 }
 
 impl Client {
-    /// Connects and negotiates the preferred codec configuration,
-    /// downgrading to legacy v2 single-frame mode when the server
-    /// predates the codec.
+    /// Connects and negotiates the preferred codec configuration.
     ///
     /// # Errors
     ///
-    /// Transport errors, or a nonsensical negotiation answer.
+    /// Transport errors, [`ClientError::Server`] when the server
+    /// refuses the `Hello`, [`ClientError::Overloaded`] when it sheds
+    /// the connection, or a nonsensical negotiation answer.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         Self::connect_with(addr, CodecConfig::preferred())
     }
@@ -388,17 +377,10 @@ impl Client {
         // the offer travels as a plain frame: no codec exists yet
         write_frame(&mut stream, &Request::Hello(offer).encode())?;
         let payload = read_frame(&mut stream)?;
-        // the ack's version byte is the agreed generation: the server
-        // stamps min(client, server), so a newer client downgrades
-        // itself here instead of sending messages the peer can't parse
-        let agreed_version = peek_version(&payload)
-            .unwrap_or(MIN_PROTOCOL_VERSION)
-            .clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
         match Response::decode(&payload)? {
             Response::HelloAck(agreed) => Ok(Client {
                 stream,
-                transport: Transport::Framed(Codec::new(agreed)),
-                version: agreed_version,
+                codec: Codec::new(agreed),
                 tracing: true,
                 last_trace: 0,
             }),
@@ -407,56 +389,21 @@ impl Client {
             Response::Busy { queued, capacity } => {
                 Err(ClientError::Overloaded { queued, capacity })
             }
-            // an old server rejects the versioned Hello with a plain
-            // error: fall back to speaking its generation
-            Response::Error(_) => Ok(Client {
-                stream,
-                transport: Transport::Legacy,
-                version: 2,
-                tracing: true,
-                last_trace: 0,
-            }),
+            Response::Error(message) => Err(ClientError::Server(message)),
             _ => Err(ClientError::Unexpected("hello answered oddly")),
         }
     }
 
-    /// Connects without negotiating — the connection behaves exactly
-    /// like a protocol-v2 client (one plain frame per message).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors.
-    pub fn connect_legacy<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            transport: Transport::Legacy,
-            version: 2,
-            tracing: true,
-            last_trace: 0,
-        })
-    }
-
-    /// The codec configuration in effect, or `None` in legacy mode.
-    pub fn codec_config(&self) -> Option<CodecConfig> {
-        match self.transport {
-            Transport::Framed(codec) => Some(codec.config()),
-            Transport::Legacy => None,
-        }
+    /// The codec configuration agreed at connect time.
+    pub fn codec_config(&self) -> CodecConfig {
+        self.codec.config()
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.transport
-            .write_message(&mut self.stream, &request.encode_versioned(self.version))?;
-        let (payload, _) = self.transport.read_message(&mut self.stream)?;
+        self.codec
+            .write_message(&mut self.stream, &request.encode())?;
+        let (payload, _) = self.codec.read_message(&mut self.stream)?;
         Ok(Response::decode(&payload)?)
-    }
-
-    /// The protocol generation agreed at connect time (2 in legacy
-    /// mode).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Enables or disables trace stamping for future submissions
@@ -467,27 +414,21 @@ impl Client {
     }
 
     /// The trace id of the most recent submission through this client
-    /// — 0 when it was untraced (tracing off, or a pre-v6 peer).
+    /// — 0 when it was untraced.
     pub fn last_trace(&self) -> u64 {
         self.last_trace
     }
 
     /// Gives `spec` a trace context for this connection: a spec that
     /// already carries one keeps it verbatim; otherwise a fresh root
-    /// trace is minted when tracing is on and the peer speaks v6.
-    /// Either way [`Client::last_trace`] remembers what went out.
+    /// trace is minted when tracing is on. Either way
+    /// [`Client::last_trace`] remembers what went out.
     fn stamp(&mut self, spec: &JobSpec) -> JobSpec {
         let mut spec = spec.clone();
-        if !spec.trace.is_active() && self.tracing && self.version >= 6 {
+        if !spec.trace.is_active() && self.tracing {
             spec.trace = TraceContext::root(fresh_trace_id());
         }
-        self.last_trace = if self.version >= 6 {
-            spec.trace.trace
-        } else {
-            // the context never travels below v6 — whatever the spec
-            // says, the server sees an untraced submission
-            0
-        };
+        self.last_trace = spec.trace.trace;
         spec
     }
 
@@ -507,21 +448,14 @@ impl Client {
     /// Submits bypassing shard ownership: a sharded server executes a
     /// `SubmitDirect` locally instead of redirecting, which is how the
     /// balancer lands work on a non-owner when the owner is down
-    /// (redirect-following could otherwise loop). On a pre-v4
-    /// connection this degrades to a plain submit — those servers
-    /// never redirect anyway.
+    /// (redirect-following could otherwise loop).
     ///
     /// # Errors
     ///
     /// As [`Client::submit`].
     pub fn submit_direct(&mut self, spec: &JobSpec) -> Result<SubmitOutcome, ClientError> {
         let spec = self.stamp(spec);
-        let request = if self.version >= 4 {
-            Request::SubmitDirect(spec)
-        } else {
-            Request::Submit(spec)
-        };
-        self.submit_request(&request)
+        self.submit_request(&Request::SubmitDirect(spec))
     }
 
     fn submit_request(&mut self, request: &Request) -> Result<SubmitOutcome, ClientError> {
@@ -569,19 +503,12 @@ impl Client {
 
     /// Probes the server's membership view: `(epoch, shard id, peer
     /// list)`; the shard id is `u32::MAX` when the server is unsharded
-    /// or was reconfigured out of its ring. Needs a v5 peer.
+    /// or was reconfigured out of its ring.
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, a protocol-level server error, or
-    /// [`ClientError::Server`] when the peer predates v5.
+    /// Transport/wire failures or a protocol-level server error.
     pub fn ping(&mut self) -> Result<(u64, u32, Vec<String>), ClientError> {
-        if self.version < 5 {
-            return Err(ClientError::Server(format!(
-                "peer speaks v{}; Ping needs v5",
-                self.version
-            )));
-        }
         match self.call(&Request::Ping)? {
             Response::Pong {
                 epoch,
@@ -596,19 +523,13 @@ impl Client {
     /// Installs a new membership view on the server (the admin side of
     /// live reconfiguration). Answers the epoch in force afterwards —
     /// `epoch` itself when the swap happened, the server's current
-    /// epoch when the request was stale. Needs a v5 peer.
+    /// epoch when the request was stale.
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, [`ClientError::Server`] for a
-    /// degenerate peer list, an unsharded server, or a pre-v5 peer.
+    /// Transport/wire failures, or [`ClientError::Server`] for a
+    /// degenerate peer list or an unsharded server.
     pub fn reconfigure(&mut self, epoch: u64, peers: Vec<String>) -> Result<u64, ClientError> {
-        if self.version < 5 {
-            return Err(ClientError::Server(format!(
-                "peer speaks v{}; Reconfigure needs v5",
-                self.version
-            )));
-        }
         match self.call(&Request::Reconfigure { epoch, peers })? {
             Response::Ack { epoch } => Ok(epoch),
             Response::Error(m) => Err(ClientError::Server(m)),
@@ -633,19 +554,12 @@ impl Client {
     /// `trace` is 0 — a debugging convenience). The dump carries the
     /// server's `(wall, mono)` clock pair, so dumps from different
     /// shards can be [`stitched`](ss_telemetry::stitch) into one
-    /// timeline. Needs a v6 peer.
+    /// timeline.
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, a protocol-level server error, or
-    /// [`ClientError::Server`] when the peer predates v6.
+    /// Transport/wire failures or a protocol-level server error.
     pub fn trace_dump(&mut self, trace: u64) -> Result<SpanDump, ClientError> {
-        if self.version < 6 {
-            return Err(ClientError::Server(format!(
-                "peer speaks v{}; TraceDump needs v6",
-                self.version
-            )));
-        }
         match self.call(&Request::TraceDump { trace })? {
             Response::Spans(dump) => Ok(dump),
             Response::Error(m) => Err(ClientError::Server(m)),
@@ -731,8 +645,8 @@ pub struct BalancedRun {
     /// How many shards were skipped (down, saturated past the
     /// deadline, or dead mid-call) before one answered.
     pub failovers: u32,
-    /// The trace id stamped on the submission (0 when tracing was off
-    /// or the serving shard predates v6). Feed it to
+    /// The trace id stamped on the submission (0 when tracing was
+    /// off). Feed it to
     /// [`Balancer::trace_dump`] to reconstruct the job's timeline.
     pub trace: u64,
 }
@@ -1393,24 +1307,28 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            // refuse the hello so the client drops to legacy framing,
-            // then answer every request Busy
-            let _ = read_frame(&mut stream).unwrap();
-            write_frame(&mut stream, &Response::Error("no codec".into()).encode()).unwrap();
-            while let Ok(payload) = read_frame(&mut stream) {
+            // ack the hello, then answer every request Busy through
+            // the negotiated codec
+            let Ok(Request::Hello(offer)) = Request::decode(&read_frame(&mut stream).unwrap())
+            else {
+                panic!("the client must open with Hello");
+            };
+            let agreed = CodecConfig::negotiate(offer);
+            write_frame(&mut stream, &Response::HelloAck(agreed).encode()).unwrap();
+            let codec = Codec::new(agreed);
+            while let Ok((payload, _)) = codec.read_message(&mut stream) {
                 assert!(matches!(Request::decode(&payload), Ok(Request::Submit(_))));
                 let reply = Response::Busy {
                     queued: 4,
                     capacity: 4,
                 };
-                if write_frame(&mut stream, &reply.encode_versioned(2)).is_err() {
+                if codec.write_message(&mut stream, &reply.encode()).is_err() {
                     break;
                 }
             }
         });
 
         let mut client = Client::connect(addr).unwrap();
-        assert_eq!(client.version(), 2, "fake server forces legacy");
         let mut policy = RetryPolicy::seeded(42).with_deadline(Duration::from_millis(20));
         let spec = JobSpec {
             set_text: "chains 1 depth 2\n1X\n".to_string(),
@@ -1432,6 +1350,26 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         drop(client);
+        server.join().unwrap();
+    }
+
+    /// A server that refuses the `Hello` fails the connect with its
+    /// message; the client never falls back to plain frames.
+    #[test]
+    fn refused_hello_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = read_frame(&mut stream).unwrap();
+            let refusal = Response::Error("no codec here".into()).encode();
+            write_frame(&mut stream, &refusal).unwrap();
+        });
+        match Client::connect(addr) {
+            Err(ClientError::Server(message)) => assert_eq!(message, "no codec here"),
+            Err(other) => panic!("expected a server error, got {other:?}"),
+            Ok(_) => panic!("a refused Hello must not yield a client"),
+        }
         server.join().unwrap();
     }
 }

@@ -1,14 +1,14 @@
-//! Composable streaming codec stack for the v3 wire protocol.
+//! Composable streaming codec stack for the wire protocol.
 //!
-//! Protocol v2 moves every message as one all-or-nothing frame capped
-//! at [`MAX_FRAME_BYTES`], so a workload
-//! larger than 64 MiB cannot flow at all and a single flipped bit
-//! anywhere in the stream kills the whole transfer undetected until
-//! the payload parser trips. Protocol v3 keeps the outer frame grammar
-//! but layers a negotiated *codec chain* on top, in the style of
-//! composable `ContentEncoding` stages: each [`Stage`] maps a list of
-//! packets to a list of packets, the chain is applied left to right on
-//! encode and right to left on decode.
+//! A plain frame carries one all-or-nothing message capped at
+//! [`MAX_FRAME_BYTES`], so a workload larger than 64 MiB cannot flow
+//! at all and a single flipped bit anywhere in the stream goes
+//! undetected until the payload parser trips. After `Hello`, a
+//! connection keeps the outer frame grammar but layers a negotiated
+//! *codec chain* on top, in the style of composable `ContentEncoding`
+//! stages: each [`Stage`] maps a list of packets to a list of packets,
+//! the chain is applied left to right on encode and right to left on
+//! decode.
 //!
 //! The negotiated chain is `[compress?] → chunk → crc32`:
 //!
@@ -34,10 +34,10 @@
 //!            crc32 u32 BE      ; CRC-32 over seq..body inclusive
 //! ```
 //!
-//! The stage list is agreed during the `Hello`/`HelloAck` exchange
-//! (which travels as plain v2-style frames, since no codec exists
-//! yet); a v2 peer never sends `Hello` and keeps speaking plain
-//! single-frame messages unchanged — see [`Transport`].
+//! The stage list is agreed during the `Hello`/`HelloAck` exchange,
+//! which travels as plain frames since no codec exists yet. A peer
+//! that never sends `Hello` (a shard pushing a replica, or the accept
+//! gate shedding a connection) keeps to plain single-frame messages.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -559,8 +559,20 @@ impl Codec {
         &self,
         stream: &mut R,
     ) -> Result<(Vec<u8>, WireStats), CodecError> {
-        let mut frames = Vec::new();
         let mut stats = WireStats::default();
+        let message = self.read_counted(stream, &mut stats)?;
+        Ok((message, stats))
+    }
+
+    /// [`Codec::read_message`], accounting into `stats` as each frame
+    /// arrives — so the frames of a message that is then rejected are
+    /// counted too (`raw_bytes` is set only on success).
+    pub(crate) fn read_counted<R: Read>(
+        &self,
+        stream: &mut R,
+        stats: &mut WireStats,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut frames = Vec::new();
         let mut body_bytes = 0u64;
         let total = loop {
             let frame = read_frame(stream)?;
@@ -597,23 +609,19 @@ impl Codec {
         debug_assert_eq!(frames.len() as u32, total);
         let message = self.decode_frames(frames)?;
         stats.raw_bytes = message.len() as u64;
-        Ok((message, stats))
+        Ok(message)
     }
 }
 
 // ----------------------------------------------------------- transport
 
-/// How messages travel on one connection: the plain v2 single-frame
-/// scheme, or the negotiated v3 codec chain.
-///
-/// Both the client and the server speak through this type after the
-/// (possibly absent) `Hello` exchange, so the rest of the code is
-/// oblivious to which generation the peer is.
+/// How messages travel on one server connection: plain frames until
+/// the peer's `Hello`, the negotiated codec chain after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Protocol ≤ 2: one message, one frame, no codec.
-    Legacy,
-    /// Protocol 3: messages framed through the negotiated codec.
+pub(crate) enum Transport {
+    /// Before `Hello`: one message, one frame, no codec.
+    Plain,
+    /// After `Hello`: messages framed through the negotiated codec.
     Framed(Codec),
 }
 
@@ -624,13 +632,13 @@ impl Transport {
     ///
     /// [`CodecError::Io`] for stream failures; oversize messages are
     /// typed rejections in either mode.
-    pub fn write_message<W: Write>(
+    pub(crate) fn write_message<W: Write>(
         &self,
         stream: &mut W,
         message: &[u8],
     ) -> Result<WireStats, CodecError> {
         match self {
-            Transport::Legacy => {
+            Transport::Plain => {
                 write_frame(stream, message)?;
                 Ok(WireStats {
                     frames: 1,
@@ -642,31 +650,33 @@ impl Transport {
         }
     }
 
-    /// Reads one message, accounting the transfer.
+    /// Reads one message, accounting every frame read into `stats` —
+    /// including the frames of a message that is then rejected.
     ///
     /// # Errors
     ///
-    /// A typed [`CodecError`]; in legacy mode only `Io` occurs.
-    pub fn read_message<R: Read>(
+    /// A typed [`CodecError`]; in plain mode only `Io` occurs.
+    pub(crate) fn read_message<R: Read>(
         &self,
         stream: &mut R,
-    ) -> Result<(Vec<u8>, WireStats), CodecError> {
+        stats: &mut WireStats,
+    ) -> Result<Vec<u8>, CodecError> {
         match self {
-            Transport::Legacy => {
+            Transport::Plain => {
                 let message = read_frame(stream)?;
-                let stats = WireStats {
+                *stats = WireStats {
                     frames: 1,
                     raw_bytes: message.len() as u64,
                     wire_bytes: message.len() as u64,
                 };
-                Ok((message, stats))
+                Ok(message)
             }
-            Transport::Framed(codec) => codec.read_message(stream),
+            Transport::Framed(codec) => codec.read_counted(stream, stats),
         }
     }
 
-    /// Whether this is the negotiated v3 framed mode.
-    pub fn is_framed(&self) -> bool {
+    /// Whether the codec has been negotiated.
+    pub(crate) fn is_framed(&self) -> bool {
         matches!(self, Transport::Framed(_))
     }
 }
@@ -739,24 +749,6 @@ mod tests {
         assert_eq!(back, message);
         assert_eq!(read, wrote);
         assert!(cursor.is_empty(), "reader must consume exactly the message");
-    }
-
-    #[test]
-    fn legacy_transport_is_a_plain_frame() {
-        let message = payload(300);
-        let mut wire = Vec::new();
-        let wrote = Transport::Legacy
-            .write_message(&mut wire, &message)
-            .unwrap();
-        assert_eq!(wrote.frames, 1);
-        assert_eq!(wrote.raw_bytes, wrote.wire_bytes);
-        // exactly the v2 frame bytes: length prefix + payload
-        let mut expect = (message.len() as u32).to_be_bytes().to_vec();
-        expect.extend_from_slice(&message);
-        assert_eq!(wire, expect);
-        let mut cursor = &wire[..];
-        let (back, _) = Transport::Legacy.read_message(&mut cursor).unwrap();
-        assert_eq!(back, message);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! sharded only:
 //!   replicator ── drains the bounded write-behind queue, pushing
-//!                 cold artifacts to ring peers (v5 Replicate)
+//!                 cold artifacts to ring peers (Replicate)
 //!   prober     ── pings ring peers, feeds the health table, adopts
 //!                 higher ring epochs gossiped back in Pong
 //! ```
@@ -48,9 +48,8 @@ use ss_testdata::TestSet;
 use crate::cache::{cache_key, ArtifactCache, CachedArtifacts};
 use crate::codec::{Codec, CodecConfig, CodecError, Transport, WireStats};
 use crate::protocol::{
-    peek_version, read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobPhase,
-    JobReport, JobSpec, PhaseHistogram, Request, Response, ServerStats, TierStats, MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec,
+    PhaseHistogram, Request, Response, ServerStats, TierStats, MAX_FRAME_BYTES,
 };
 use crate::report_digest;
 use crate::shard::{ShardError, ShardRing, ShardSpec};
@@ -247,8 +246,8 @@ struct PhaseTimes {
 /// snapshotted into [`CodecCounters`] for `Stats` replies.
 #[derive(Default)]
 struct CodecTelemetry {
-    connections_v2: AtomicU64,
-    connections_v3: AtomicU64,
+    plain_connections: AtomicU64,
+    codec_connections: AtomicU64,
     frames_sent: AtomicU64,
     frames_received: AtomicU64,
     crc_rejects: AtomicU64,
@@ -260,7 +259,7 @@ struct CodecTelemetry {
 
 impl CodecTelemetry {
     /// Accounts one received message (framed connections only — the
-    /// counters describe codec traffic, not legacy frames).
+    /// counters describe codec traffic, not plain frames).
     fn add_rx(&self, stats: WireStats) {
         self.frames_received
             .fetch_add(stats.frames, Ordering::Relaxed);
@@ -281,8 +280,8 @@ impl CodecTelemetry {
 
     fn snapshot(&self) -> CodecCounters {
         CodecCounters {
-            connections_v2: self.connections_v2.load(Ordering::Relaxed),
-            connections_v3: self.connections_v3.load(Ordering::Relaxed),
+            plain_connections: self.plain_connections.load(Ordering::Relaxed),
+            codec_connections: self.codec_connections.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             frames_received: self.frames_received.load(Ordering::Relaxed),
             crc_rejects: self.crc_rejects.load(Ordering::Relaxed),
@@ -452,11 +451,9 @@ impl Shared {
     /// shard — answers the owner's address (`Redirect`). The error
     /// carries a client-facing message.
     ///
-    /// `direct` submissions (`SubmitDirect`, and every plain submit
-    /// from a pre-v4 peer, which could not parse a redirect) always
-    /// execute locally: that is the balancer's failover path onto a
-    /// non-owner, which must never be bounced back toward a dead
-    /// owner.
+    /// `direct` submissions (`SubmitDirect`) always execute locally:
+    /// that is the balancer's failover path onto a non-owner, which
+    /// must never be bounced back toward a dead owner.
     fn try_enqueue(&self, mut spec: JobSpec, direct: bool) -> Result<Enqueue, String> {
         let set = TestSet::from_text(&spec.set_text).map_err(|e| format!("cube file: {e}"))?;
         if set.is_empty() {
@@ -1203,8 +1200,8 @@ fn ingest_replica(shared: &Shared, key: u64, bytes: &[u8], trace: u64) -> Respon
 }
 
 /// One plain-frame request/response exchange with a ring peer, under
-/// the peer timeouts. Shard-to-shard frames skip `Hello`: v5 messages
-/// are plain frames both ends of a fleet parse by construction.
+/// the peer timeouts. Shard-to-shard requests skip `Hello`: a server
+/// answers any request that arrives before `Hello` as a plain frame.
 fn send_peer_request(addr: &str, request: &Request) -> Result<Response, String> {
     use std::net::ToSocketAddrs;
     let sock = addr
@@ -1337,7 +1334,7 @@ fn prober_loop(shared: &Shared) {
                         let _ = apply_reconfigure(shared, peer_epoch, peer_list);
                     }
                 }
-                // a pre-v5 peer answers Error — alive, no gossip
+                // any other answer (an Error) — alive, no gossip
                 Ok(_) => shared.note_peer(peer, true),
                 Err(_) => shared.note_peer(peer, false),
             }
@@ -1446,20 +1443,16 @@ fn request_trace(request: &Request) -> Option<TraceContext> {
 }
 
 /// Answers one decoded request. `Wait` blocks (with a stop check);
-/// everything else is immediate. `version` is the connection's agreed
-/// protocol generation: a pre-v4 peer cannot parse `Redirect`, so its
-/// plain submissions are served locally even on a non-owner shard
-/// (exactly-once cluster-wide is a property of v4/balancer traffic;
-/// legacy traffic degrades to at-least-once with bit-identical
-/// answers).
-fn respond(shared: &Shared, request: Request, version: u8) -> Response {
+/// everything else is immediate. A non-owner shard redirects every
+/// plain `Submit` to the key's owner.
+fn respond(shared: &Shared, request: Request) -> Response {
     match request {
         // negotiation is handled at the connection layer; a second
         // Hello mid-connection is a protocol violation
         Request::Hello(_) => Response::Error("codec already negotiated".to_string()),
         Request::Submit(spec) => {
             let trace = spec.trace;
-            match shared.try_enqueue(spec, version < 4) {
+            match shared.try_enqueue(spec, false) {
                 Ok(Enqueue::Accepted(id)) => Response::Accepted(id),
                 Ok(Enqueue::Busy { queued, capacity }) => Response::Busy { queued, capacity },
                 Ok(Enqueue::Redirect(addr)) => {
@@ -1547,10 +1540,10 @@ fn respond(shared: &Shared, request: Request, version: u8) -> Response {
 
 /// Serves one connection until the peer closes, errors or idles out.
 ///
-/// The connection opens in legacy (plain-frame) mode; a v3 peer's
-/// `Hello` upgrades it to the negotiated codec chain for every
-/// subsequent message. Replies are stamped with the peer's own
-/// protocol generation, so a v2 client decodes every answer it gets.
+/// The connection opens in plain-frame mode; the peer's `Hello`
+/// upgrades it to the negotiated codec chain for every subsequent
+/// message. A payload stamped with any version but this build's is
+/// answered with a typed [`Response::Error`] naming that version.
 ///
 /// A codec failure — CRC mismatch, reordered chunks, a lying length or
 /// total — is answered with one typed [`Response::Error`] and the
@@ -1560,21 +1553,29 @@ fn respond(shared: &Shared, request: Request, version: u8) -> Response {
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut transport = Transport::Legacy;
-    // reply generation: mirrors the peer until negotiation pins v3
-    let mut version = MIN_PROTOCOL_VERSION;
+    let mut transport = Transport::Plain;
     let mut counted = false;
-    // per-connection codec totals, echoed inside every v5 Done so a
-    // client sees its own wire costs without a Stats round-trip
+    // per-connection codec totals, echoed inside every Done and Failed
+    // so a client sees its own wire costs without a Stats round-trip
     let mut conn = ConnStats::default();
     loop {
-        let (payload, rx) = match transport.read_message(&mut stream) {
-            Ok(message) => message,
+        let mut rx = WireStats::default();
+        let read = transport.read_message(&mut stream, &mut rx);
+        // frames of a rejected message were read too: count them before
+        // answering the rejection
+        if transport.is_framed() {
+            shared.codec.add_rx(rx);
+            conn.frames_received += rx.frames;
+            conn.raw_rx_bytes += rx.raw_bytes;
+            conn.wire_rx_bytes += rx.wire_bytes;
+        }
+        let payload = match read {
+            Ok(payload) => payload,
             Err(CodecError::Io(err)) => {
                 // a lying frame-length field is detected corruption and
                 // gets a typed answer; a vanished/idle peer just closes
                 if err.kind() == io::ErrorKind::InvalidData && transport.is_framed() {
-                    let reply = Response::Error(format!("codec: {err}")).encode_versioned(version);
+                    let reply = Response::Error(format!("codec: {err}")).encode();
                     let _ = transport.write_message(&mut stream, &reply);
                 }
                 return;
@@ -1583,36 +1584,25 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 if err.is_integrity() {
                     shared.codec.crc_rejects.fetch_add(1, Ordering::Relaxed);
                 }
-                let reply = Response::Error(format!("codec: {err}")).encode_versioned(version);
+                let reply = Response::Error(format!("codec: {err}")).encode();
                 let _ = transport.write_message(&mut stream, &reply);
                 return;
             }
         };
-        if transport.is_framed() {
-            shared.codec.add_rx(rx);
-            conn.frames_received += rx.frames;
-            conn.raw_rx_bytes += rx.raw_bytes;
-            conn.wire_rx_bytes += rx.wire_bytes;
-        }
         let decode_start = shared.clock.now_micros();
         let mut response = match Request::decode(&payload) {
             Ok(Request::Hello(offer)) if !transport.is_framed() => {
                 let agreed = CodecConfig::negotiate(offer);
-                // the connection runs at min(peer, us): the ack's
-                // version byte mirrors the agreement back, so a newer
-                // client downgrades itself instead of sending messages
-                // this build can't parse
-                version = match peek_version(&payload) {
-                    Some(v) if v < PROTOCOL_VERSION => v,
-                    _ => PROTOCOL_VERSION,
-                };
                 if !counted {
                     counted = true;
-                    shared.codec.connections_v3.fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .codec
+                        .codec_connections
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 // the ack travels as a plain frame; the codec applies
                 // from the next message on
-                let ack = Response::HelloAck(agreed).encode_versioned(version);
+                let ack = Response::HelloAck(agreed).encode();
                 if write_frame(&mut stream, &ack).is_err() {
                     return;
                 }
@@ -1622,14 +1612,10 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             Ok(request) => {
                 if !counted {
                     counted = true;
-                    shared.codec.connections_v2.fetch_add(1, Ordering::Relaxed);
-                }
-                // answer a legacy peer in its own generation
-                if !transport.is_framed() {
-                    version = match peek_version(&payload) {
-                        Some(v) if v < PROTOCOL_VERSION => v,
-                        _ => PROTOCOL_VERSION,
-                    };
+                    shared
+                        .codec
+                        .plain_connections
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(ctx) = request_trace(&request) {
                     let now = shared.clock.now_micros();
@@ -1642,19 +1628,18 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                         || format!("hop={}", ctx.hop),
                     );
                 }
-                respond(shared, request, version)
+                respond(shared, request)
             }
             Err(e) => Response::Error(e.to_string()),
         };
         // the snapshot is taken at reply-build time: it covers every
         // frame up to and including this request, not the reply itself
         match response {
-            Response::Done(ref mut report) if version >= 5 => report.conn = conn,
-            // failures carry the same per-connection totals from v6 on
+            Response::Done(ref mut report) => report.conn = conn,
             Response::Failed {
                 conn: ref mut failed_conn,
                 ..
-            } if version >= 6 => *failed_conn = conn,
+            } => *failed_conn = conn,
             _ => {}
         }
         let reply_trace = match &response {
@@ -1662,7 +1647,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             _ => 0,
         };
         let tx_start = shared.clock.now_micros();
-        match transport.write_message(&mut stream, &response.encode_versioned(version)) {
+        match transport.write_message(&mut stream, &response.encode()) {
             Ok(tx) => {
                 if transport.is_framed() {
                     shared.codec.add_tx(tx);
@@ -1740,16 +1725,14 @@ fn dispatch_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         }
         None => {
             shared.conn_shed.fetch_add(1, Ordering::Relaxed);
-            // a plain v2-stamped frame every client generation parses:
-            // the codec never negotiated, and Busy's layout is
-            // version-invariant. Bounded write so a dead peer can't
-            // stall the accept loop.
+            // a plain frame: the codec never negotiated. Bounded write
+            // so a dead peer can't stall the accept loop.
             let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
             let reply = Response::Busy {
                 queued: shared.conn_max as u32,
                 capacity: shared.conn_max as u32,
             }
-            .encode_versioned(MIN_PROTOCOL_VERSION);
+            .encode();
             let _ = write_frame(&mut stream, &reply);
         }
     }
@@ -2044,7 +2027,7 @@ mod tests {
         set_state(&shared, id, JobState::Failed("finished first".into()));
         // try_enqueue already returned: nothing may overwrite this
         assert!(matches!(
-            respond(&shared, Request::Poll(id), PROTOCOL_VERSION),
+            respond(&shared, Request::Poll(id)),
             Response::Failed { .. }
         ));
     }
@@ -2106,11 +2089,11 @@ mod tests {
     fn poll_and_wait_know_unknown_jobs() {
         let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
         assert!(matches!(
-            respond(&shared, Request::Poll(99), PROTOCOL_VERSION),
+            respond(&shared, Request::Poll(99)),
             Response::Error(_)
         ));
         assert!(matches!(
-            respond(&shared, Request::Wait(99), PROTOCOL_VERSION),
+            respond(&shared, Request::Wait(99)),
             Response::Error(_)
         ));
     }
@@ -2210,7 +2193,7 @@ mod tests {
         shared
     }
 
-    /// A sharded server redirects a plain v4 submission it does not
+    /// A sharded server redirects a plain submission it does not
     /// own to the owner's address, serves the key it does own, and
     /// always serves direct submissions — on the canonical key, so a
     /// non-canonical text variant redirects to the same owner.
@@ -2260,31 +2243,69 @@ mod tests {
         assert_eq!((stats.shard_id, stats.shard_count), (owner as u32, 3));
     }
 
-    /// Legacy peers never see a Redirect they cannot parse: a plain
-    /// submission at a pre-v4 generation is served locally.
+    /// A plain-frame `Submit` stamped with a foreign version is refused
+    /// with a typed error naming that version, and nothing is queued;
+    /// the connection stays usable at this build's version.
     #[test]
-    fn legacy_submissions_are_served_locally_on_non_owners() {
-        let peers = ["10.0.0.1:7113", "10.0.0.2:7113"];
-        let spec = mini_spec();
-        let key = {
-            let set = TestSet::from_text(&spec.set_text).unwrap();
-            let mut c = spec.clone();
-            c.set_text = set.to_text();
-            cache_key(&c)
-        };
-        let ring = ShardRing::new(peers.iter().map(|s| (*s).to_string()).collect()).unwrap();
-        let non_owner = (ring.owner(key) + 1) % peers.len();
-        let shared = sharded(&peers, non_owner);
-        for version in [2, 3] {
-            assert!(matches!(
-                respond(&shared, Request::Submit(spec.clone()), version),
-                Response::Accepted(_)
-            ));
+    fn foreign_version_submissions_are_refused_not_served() {
+        let handle = Server::bind(&ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap()
+        .spawn();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let submit = Request::Submit(mini_spec());
+        write_frame(&mut stream, &submit.encode_versioned(5)).unwrap();
+        match Response::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+            Response::Error(message) => {
+                assert!(message.contains("version 5"), "error was {message:?}")
+            }
+            other => panic!("a v5 submission was answered {other:?}"),
         }
+        let stats = handle.stats();
+        assert_eq!((stats.jobs_done, stats.queued), (0, 0), "nothing enqueued");
+
+        write_frame(&mut stream, &submit.encode()).unwrap();
         assert!(matches!(
-            respond(&shared, Request::Submit(spec), PROTOCOL_VERSION),
-            Response::Redirect { .. }
+            Response::decode(&read_frame(&mut stream).unwrap()).unwrap(),
+            Response::Accepted(_)
         ));
+        let codec = handle.stats().codec;
+        assert_eq!((codec.plain_connections, codec.codec_connections), (1, 0));
+        handle.shutdown();
+    }
+
+    /// A chunk rejected by its CRC was still read off the wire: it
+    /// counts in `frames_received` as well as in `crc_rejects`.
+    #[test]
+    fn rejected_chunks_are_counted_as_received() {
+        let handle = Server::bind(&ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap()
+        .spawn();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        write_frame(
+            &mut stream,
+            &Request::Hello(CodecConfig::preferred()).encode(),
+        )
+        .unwrap();
+        let Ok(Response::HelloAck(agreed)) = Response::decode(&read_frame(&mut stream).unwrap())
+        else {
+            panic!("hello was not acked");
+        };
+        let codec = Codec::new(agreed);
+        let mut frames = codec.encode_frames(&Request::Stats.encode()).unwrap();
+        assert_eq!(frames.len(), 1);
+        *frames[0].last_mut().unwrap() ^= 1;
+        write_frame(&mut stream, &frames[0]).unwrap();
+        let (reply, _) = codec.read_message(&mut stream).unwrap();
+        assert!(matches!(Response::decode(&reply), Ok(Response::Error(_))));
+        let counters = handle.stats().codec;
+        assert_eq!((counters.crc_rejects, counters.frames_received), (1, 1));
+        handle.shutdown();
     }
 
     /// The accept gate: permits are bounded, shed connections get a
@@ -2482,7 +2503,7 @@ mod tests {
     #[test]
     fn ping_answers_the_membership_view() {
         let shared = sharded(&["a:1", "b:1"], 1);
-        match respond(&shared, Request::Ping, PROTOCOL_VERSION) {
+        match respond(&shared, Request::Ping) {
             Response::Pong {
                 epoch,
                 shard_id,
@@ -2494,7 +2515,7 @@ mod tests {
             other => panic!("expected Pong, got {other:?}"),
         }
         let plain = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
-        match respond(&plain, Request::Ping, PROTOCOL_VERSION) {
+        match respond(&plain, Request::Ping) {
             Response::Pong {
                 epoch,
                 shard_id,

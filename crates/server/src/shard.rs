@@ -11,7 +11,7 @@
 //! [`ShardRing`] is the deterministic placement function both sides
 //! share: the client-side [`Balancer`](crate::client::Balancer) routes
 //! each submission to `owner(key)`, and a sharded server checks the
-//! same ring to answer misrouted v4 submissions with
+//! same ring to answer misrouted submissions with
 //! [`Response::Redirect`](crate::protocol::Response::Redirect).
 //! Rendezvous hashing (score every `(shard, key)` pair, pick the
 //! maximum) needs no virtual-node table and has the minimal-disruption

@@ -104,14 +104,14 @@ is enough — epoch gossip converges the rest), --epoch must exceed the
 ring's current epoch, and --peers is the complete new address list.
 Shards re-replicate the keys whose placement changed.
 
-Every submission through a v6 client carries a trace id (printed on the
-result; pin one with --trace-id, hex or decimal). Each server records
-spans — queue wait, cache lookups, pipeline phases, replication pushes —
-into a bounded ring; trace asks every listed shard for one trace's
-spans and stitches them into a single causally ordered timeline, so one
-command shows where a job's time went across the whole fleet. stats
---json emits the full telemetry snapshot (per shard plus a fleet
-aggregate) as JSON for dashboards and scripts.";
+Every submission carries a trace id (printed on the result; pin one
+with --trace-id, hex or decimal). Each server records spans — queue
+wait, cache lookups, pipeline phases, replication pushes — into a
+bounded ring; trace asks every listed shard for one trace's spans and
+stitches them into a single causally ordered timeline, so one command
+shows where a job's time went across the whole fleet. stats --json
+emits the full telemetry snapshot (per shard plus a fleet aggregate) as
+JSON for dashboards and scripts.";
 
 fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -633,20 +633,18 @@ fn submit(args: &[String]) -> Result<(), String> {
         report.service_micros as f64 / 1e3,
         report.digest
     );
-    // v5 servers stamp the reply with the connection's codec tallies
-    // (v4 and older leave them zero); tx/rx are the server's view
+    // the reply carries the connection's codec tallies; tx/rx are the
+    // server's view
     let conn = &report.conn;
-    if conn.frames_sent + conn.frames_received > 0 {
-        println!(
-            "link (server view): rx {} frames, {} B wire -> {} B raw; tx {} frames, {} B raw -> {} B wire",
-            conn.frames_received,
-            conn.wire_rx_bytes,
-            conn.raw_rx_bytes,
-            conn.frames_sent,
-            conn.raw_tx_bytes,
-            conn.wire_tx_bytes
-        );
-    }
+    println!(
+        "link (server view): rx {} frames, {} B wire -> {} B raw; tx {} frames, {} B raw -> {} B wire",
+        conn.frames_received,
+        conn.wire_rx_bytes,
+        conn.raw_rx_bytes,
+        conn.frames_sent,
+        conn.raw_tx_bytes,
+        conn.wire_tx_bytes
+    );
     // the line `state-skip trace` and the CI smoke step grep for
     if trace != 0 {
         println!(
@@ -993,8 +991,8 @@ fn print_server_stats(addr: &str) -> Result<ss_server::ServerStats, String> {
 
     let c = &s.codec;
     println!(
-        "codec: connections v2 {}  v3 {}  frames out {}  in {}  crc rejects {}",
-        c.connections_v2, c.connections_v3, c.frames_sent, c.frames_received, c.crc_rejects
+        "codec: connections plain {}  codec {}  frames out {}  in {}  crc rejects {}",
+        c.plain_connections, c.codec_connections, c.frames_sent, c.frames_received, c.crc_rejects
     );
     println!(
         "codec tx: raw {} B -> wire {} B  (ratio {:.2}x, {} B saved)",
@@ -1070,7 +1068,7 @@ fn server_stats_json(s: &ss_server::ServerStats) -> String {
             "\"busy_rejections\":{},\"coalesced\":{},",
             "\"memory\":{},\"disk\":{},\"store_writes\":{},\"disk_corruptions\":{},",
             "\"phases\":{{\"synthesis\":{},\"encode\":{},\"embed\":{},\"segment\":{}}},",
-            "\"codec\":{{\"connections_v2\":{},\"connections_v3\":{},\"frames_sent\":{},",
+            "\"codec\":{{\"plain_connections\":{},\"codec_connections\":{},\"frames_sent\":{},",
             "\"frames_received\":{},\"crc_rejects\":{},\"raw_tx_bytes\":{},\"wire_tx_bytes\":{},",
             "\"raw_rx_bytes\":{},\"wire_rx_bytes\":{}}},",
             "\"connections_active\":{},\"connections_max\":{},\"connections_shed\":{},",
@@ -1093,8 +1091,8 @@ fn server_stats_json(s: &ss_server::ServerStats) -> String {
         histogram_json(&s.encode),
         histogram_json(&s.embed),
         histogram_json(&s.segment),
-        c.connections_v2,
-        c.connections_v3,
+        c.plain_connections,
+        c.codec_connections,
         c.frames_sent,
         c.frames_received,
         c.crc_rejects,

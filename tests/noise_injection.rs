@@ -1,4 +1,4 @@
-//! Adversarial noise-injection harness for the v3 wire codec: a live
+//! Adversarial noise-injection harness for the wire codec: a live
 //! server is attacked with deterministically corrupted chunk streams —
 //! bit flips, truncations, length-field lies, chunk reordering and
 //! mid-message disconnects — and must never panic, never serve a
@@ -276,19 +276,34 @@ fn corrupted_streams_never_panic_and_never_change_answers() {
     assert!(typed_errors > 0, "no injected fault surfaced a typed error");
     assert!(clean_closes > 0, "no injected fault ended in a close");
     let mut client = Client::connect(handle.addr()).expect("stats connect");
-    let stats = client.stats().expect("stats");
+    let before = client.stats().expect("stats").codec;
     assert!(
-        stats.codec.crc_rejects > 0,
+        before.crc_rejects > 0,
         "bit flips ran but the CRC reject counter never moved"
     );
-    assert!(stats.codec.connections_v3 > 0);
-    assert!(stats.codec.frames_received > stats.codec.crc_rejects);
+    assert!(before.codec_connections > 0);
+    assert!(before.frames_received > before.crc_rejects);
+
+    // a negotiated client on the same server still gets the golden
+    // answer, its frames are counted both ways, and the compressed
+    // replies (the stats reply above, the job's own replies) net-save
+    // bytes
+    let (name, spec, golden) = &corpus[0];
+    let (_, report) = client.run(spec).expect("negotiated run");
+    assert_eq!(report.digest, *golden, "{name}: negotiated answer diverged");
+    let after = client.stats().expect("stats").codec;
+    assert!(after.frames_sent > before.frames_sent);
+    assert!(after.frames_received > before.frames_received);
+    assert!(
+        after.raw_tx_bytes - before.raw_tx_bytes > after.wire_tx_bytes - before.wire_tx_bytes,
+        "compressed replies must net-save bytes"
+    );
     handle.shutdown();
 }
 
 /// Acceptance: a payload past the 64 MiB single-frame cap streams
-/// through the chunk codec bit-identically — and the legacy path
-/// really cannot carry it.
+/// through the chunk codec bit-identically — and a plain frame really
+/// cannot carry it.
 #[test]
 fn payload_past_the_frame_cap_round_trips_chunked() {
     let len = MAX_FRAME_BYTES + MAX_FRAME_BYTES / 16; // 68 MiB
@@ -302,12 +317,12 @@ fn payload_past_the_frame_cap_round_trips_chunked() {
         chunk.copy_from_slice(&bytes[..chunk.len()]);
     }
 
-    // the v2 scheme refuses it outright
+    // a plain frame refuses it outright
     let mut sink = Vec::new();
     let err = write_frame(&mut sink, &message).expect_err("one frame cannot carry 68 MiB");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
-    // the v3 chunk codec streams it
+    // the chunk codec streams it
     let codec = Codec::new(CodecConfig {
         compress: false,
         chunk_bytes: MAX_CHUNK_BYTES,
@@ -326,49 +341,4 @@ fn payload_past_the_frame_cap_round_trips_chunked() {
     assert!(cursor.is_empty());
     assert_eq!(read.frames, wrote.frames);
     assert!(back == message, "68 MiB round trip must be bit-identical");
-}
-
-/// Acceptance: a v2 peer (no Hello, plain frames, version-2 stamps)
-/// completes an uncorrupted job against the v3 server, and gets the
-/// stats layout its generation expects.
-#[test]
-fn legacy_v2_client_completes_against_v3_server() {
-    let (_, spec, golden) = corpus().remove(0);
-    let handle = Server::bind(&ServeOptions {
-        workers: 1,
-        ..ServeOptions::default()
-    })
-    .expect("bind loopback")
-    .spawn();
-
-    let mut legacy = Client::connect_legacy(handle.addr()).expect("legacy connect");
-    assert!(legacy.codec_config().is_none(), "legacy mode has no codec");
-    let (_, report) = legacy.run(&spec).expect("legacy run");
-    assert_eq!(
-        report.digest, golden,
-        "legacy client must get the golden answer"
-    );
-    // the v2 stats layout carries no codec counters
-    let stats = legacy.stats().expect("legacy stats");
-    assert_eq!(stats.codec, ss_server::CodecCounters::default());
-    assert_eq!(stats.jobs_done, 1);
-
-    // a negotiated client sees the legacy connection counted
-    let mut modern = Client::connect(handle.addr()).expect("negotiated connect");
-    assert!(modern.codec_config().is_some());
-    let (_, warm) = modern.run(&spec).expect("negotiated run");
-    assert_eq!(warm.digest, golden);
-    assert!(
-        warm.cached(),
-        "same key must hit the cache across generations"
-    );
-    let stats = modern.stats().expect("negotiated stats");
-    assert_eq!(stats.codec.connections_v2, 1);
-    assert_eq!(stats.codec.connections_v3, 1);
-    assert!(stats.codec.frames_sent > 0 && stats.codec.frames_received > 0);
-    assert!(
-        stats.codec.raw_tx_bytes > stats.codec.wire_tx_bytes,
-        "compressed replies must net-save bytes"
-    );
-    handle.shutdown();
 }
