@@ -2,15 +2,19 @@
 //!
 //! Not a paper table — engineering numbers for the library itself:
 //! LFSR stepping, State Skip jumps, matrix powering, incremental
-//! solving and window expansion.
+//! solving and window expansion, plus the byte paths every warm hit
+//! pays: request LZSS and the cube-set text format.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use ss_core::Engine;
 use ss_gf2::{primitive_poly, BitVec, IncrementalSolver};
 use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter, SkipCircuit};
-use ss_testdata::ScanConfig;
+use ss_server::codec::{compress, decompress};
+use ss_server::{JobSpec, Request, MAX_MESSAGE_BYTES};
+use ss_testdata::{ScanConfig, TestSet, WorkloadRegistry};
 
 fn bench_lfsr_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("lfsr_step");
@@ -105,6 +109,38 @@ fn bench_window_expansion(c: &mut Criterion) {
     group.finish();
 }
 
+/// The request codec and the cube-set text format on two registry
+/// workloads' `Submit` payloads at scale 0.25 (the warm-repeat
+/// inputs of the end-to-end benchmark).
+fn bench_wire_text(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_text");
+    for name in ["s9234", "s38417"] {
+        let workload = WorkloadRegistry::find(name).unwrap();
+        let set = workload.test_set_scaled(0.25);
+        let engine = Engine::builder()
+            .window(24)
+            .segment(4)
+            .speedup(6)
+            .lfsr_size(workload.profile().unwrap().lfsr_size)
+            .build()
+            .unwrap();
+        let payload = Request::Submit(JobSpec::new(&set, engine.config())).encode();
+        let packed = compress(&payload);
+        let text = set.to_text();
+        group.bench_function(format!("{name}_compress"), |b| {
+            b.iter(|| compress(&payload))
+        });
+        group.bench_function(format!("{name}_decompress"), |b| {
+            b.iter(|| decompress(&packed, MAX_MESSAGE_BYTES).unwrap())
+        });
+        group.bench_function(format!("{name}_to_text"), |b| b.iter(|| set.to_text()));
+        group.bench_function(format!("{name}_from_text"), |b| {
+            b.iter(|| TestSet::from_text(&text).unwrap())
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     // short sampling: these kernels are microseconds-scale and the
@@ -119,6 +155,7 @@ criterion_group! {
         bench_matrix_pow,
         bench_solver,
         bench_expression_stream,
-        bench_window_expansion
+        bench_window_expansion,
+        bench_wire_text
 }
 criterion_main!(benches);

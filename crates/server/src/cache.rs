@@ -292,6 +292,35 @@ mod tests {
         }
     }
 
+    /// The keys of the nine registry workloads, recorded before the
+    /// direct cube-text printer replaced the per-character one: the
+    /// canonical text, and with it every cache key and store file
+    /// name, must not move.
+    #[test]
+    fn registry_cache_keys_are_pinned() {
+        let pinned = [
+            ("tiny-1", 0xb336_f140_8908_13e0),
+            ("tiny-pad", 0xc716_4e4e_4399_55d8),
+            ("mini-7", 0x8b72_e263_6b03_b4b8),
+            ("mini-13", 0x4788_fd1b_218a_b943),
+            ("s9234", 0x9a1a_b1c9_023d_6dfc),
+            ("s13207", 0x73d3_473d_e545_b2b1),
+            ("s15850", 0xb20d_95da_1106_e07a),
+            ("s38417", 0x291f_ea59_4f10_fdfd),
+            ("s38584", 0xf89e_3de6_45f8_9a47),
+        ];
+        let specs = crate::protocol::registry_specs();
+        assert_eq!(specs.len(), pinned.len());
+        for ((name, spec), (want_name, want_key)) in specs.iter().zip(pinned) {
+            assert_eq!(*name, want_name);
+            // admission canonicalises before keying; the text is a
+            // fixed point of parse → to_text
+            let canonical = TestSet::from_text(&spec.set_text).unwrap().to_text();
+            assert_eq!(canonical, spec.set_text, "{name}: text is not canonical");
+            assert_eq!(cache_key(spec), want_key, "{name}: cache key moved");
+        }
+    }
+
     #[test]
     fn key_separates_workloads_and_configs_but_not_threads() {
         let a = spec_with(24, "chains 1 depth 2\n1X\n");

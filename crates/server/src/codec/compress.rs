@@ -23,7 +23,7 @@
 //! never a panic, never unbounded allocation (`raw_len` is checked
 //! against the caller's cap before any buffer is sized).
 
-use super::CodecError;
+use super::{CodecError, MAX_MESSAGE_BYTES};
 
 /// Sliding-window size; offsets are 12 bits.
 const WINDOW: usize = 4095;
@@ -35,6 +35,15 @@ const MAX_MATCH: usize = MIN_MATCH + 15;
 const HASH_SIZE: usize = 1 << 14;
 /// How many chain links the matcher follows before settling.
 const MAX_CHAIN: usize = 32;
+/// Chain-link ring slots: one per position a walk can reach
+/// (`WINDOW`), rounded up to a power of two so `p % RING` is a mask.
+const RING: usize = WINDOW + 1;
+/// Empty chain link.
+const NIL: u32 = u32::MAX;
+
+// positions are stored as `u32`; every message the codec compresses
+// is at most MAX_MESSAGE_BYTES long, so no position collides with NIL
+const _: () = assert!(MAX_MESSAGE_BYTES < NIL as u64);
 
 fn hash3(bytes: &[u8]) -> usize {
     let h = u32::from(bytes[0]) << 16 | u32::from(bytes[1]) << 8 | u32::from(bytes[2]);
@@ -42,21 +51,43 @@ fn hash3(bytes: &[u8]) -> usize {
 }
 
 /// Compresses `raw` into the LZSS token format.
+///
+/// The matcher walks hash chains of earlier positions sharing a 3-byte
+/// prefix, newest first, for at most `MAX_CHAIN` links and never
+/// past `WINDOW`; it keeps the longest match, the nearest on ties.
+/// Because no walk reaches further back than `WINDOW` positions, the
+/// chain links live in a `WINDOW + 1`-slot ring indexed by position
+/// modulo its size: a slot is overwritten only by a position
+/// `WINDOW + 1` ahead of it, and by then every walk that could read
+/// the old link has stopped at the window edge. A candidate is only
+/// compared in full when it agrees with `raw[at..]` at offset
+/// `best_len`, since one that does not cannot beat the best match so
+/// far. Neither shortcut changes which match is chosen.
+///
+/// # Panics
+///
+/// Panics if `raw` is longer than [`MAX_MESSAGE_BYTES`] (the codec
+/// refuses such messages before they get here).
 pub fn compress(raw: &[u8]) -> Vec<u8> {
+    assert!(
+        raw.len() as u64 <= MAX_MESSAGE_BYTES,
+        "message of {} bytes exceeds the codec cap",
+        raw.len()
+    );
     let mut out = Vec::with_capacity(raw.len() / 2 + 16);
     out.extend_from_slice(&(raw.len() as u64).to_be_bytes());
 
     // hash chains over 3-byte prefixes: head[h] is the most recent
-    // position whose prefix hashes to h, prev[p] the one before it
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; raw.len()];
+    // position whose prefix hashes to h, prev[p % RING] the one before p
+    let mut head = [NIL; HASH_SIZE];
+    let mut prev = [NIL; RING];
     // chains a position into the index (only positions with a full
     // 3-byte prefix are indexable)
-    let insert = |head: &mut [usize], prev: &mut [usize], p: usize| {
+    let insert = |head: &mut [u32; HASH_SIZE], prev: &mut [u32; RING], p: usize| {
         if p + MIN_MATCH <= raw.len() {
             let h = hash3(&raw[p..]);
-            prev[p] = head[h];
-            head[h] = p;
+            prev[p % RING] = head[h];
+            head[h] = p as u32;
         }
     };
 
@@ -70,26 +101,30 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
             let mut best_len = 0;
             let mut best_off = 0;
             if at + MIN_MATCH <= raw.len() {
+                let limit = (raw.len() - at).min(MAX_MATCH);
                 let mut cand = head[hash3(&raw[at..])];
                 let mut chain = 0;
-                while cand != usize::MAX && chain < MAX_CHAIN {
-                    let off = at - cand;
+                while cand != NIL && chain < MAX_CHAIN {
+                    let c = cand as usize;
+                    let off = at - c;
                     if off > WINDOW {
                         break; // older candidates are farther still
                     }
-                    let limit = (raw.len() - at).min(MAX_MATCH);
-                    let mut len = 0;
-                    while len < limit && raw[cand + len] == raw[at + len] {
-                        len += 1;
-                    }
-                    if len > best_len {
-                        best_len = len;
-                        best_off = off;
-                        if len == MAX_MATCH {
-                            break;
+                    // a match longer than best_len must agree at best_len
+                    if raw[c + best_len] == raw[at + best_len] {
+                        let mut len = 0;
+                        while len < limit && raw[c + len] == raw[at + len] {
+                            len += 1;
+                        }
+                        if len > best_len {
+                            best_len = len;
+                            best_off = off;
+                            if len == limit {
+                                break; // nothing can be longer
+                            }
                         }
                     }
-                    cand = prev[cand];
+                    cand = prev[c % RING];
                     chain += 1;
                 }
             }
@@ -186,6 +221,77 @@ pub fn decompress(bytes: &[u8], cap: u64) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
+/// The straightforward matcher [`compress`] must reproduce byte for
+/// byte: a chain link per input position and a full comparison of
+/// every candidate. Test-only — the oracle of the compress proptests.
+#[cfg(test)]
+pub(crate) fn compress_reference(raw: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(raw.len() / 2 + 16);
+    out.extend_from_slice(&(raw.len() as u64).to_be_bytes());
+
+    let mut head = vec![usize::MAX; HASH_SIZE];
+    let mut prev = vec![usize::MAX; raw.len()];
+    let insert = |head: &mut [usize], prev: &mut [usize], p: usize| {
+        if p + MIN_MATCH <= raw.len() {
+            let h = hash3(&raw[p..]);
+            prev[p] = head[h];
+            head[h] = p;
+        }
+    };
+
+    let mut at = 0;
+    while at < raw.len() {
+        let control_at = out.len();
+        out.push(0);
+        let mut control = 0u8;
+        let mut items = 0;
+        while items < 8 && at < raw.len() {
+            let mut best_len = 0;
+            let mut best_off = 0;
+            if at + MIN_MATCH <= raw.len() {
+                let mut cand = head[hash3(&raw[at..])];
+                let mut chain = 0;
+                while cand != usize::MAX && chain < MAX_CHAIN {
+                    let off = at - cand;
+                    if off > WINDOW {
+                        break;
+                    }
+                    let limit = (raw.len() - at).min(MAX_MATCH);
+                    let mut len = 0;
+                    while len < limit && raw[cand + len] == raw[at + len] {
+                        len += 1;
+                    }
+                    if len > best_len {
+                        best_len = len;
+                        best_off = off;
+                        if len == MAX_MATCH {
+                            break;
+                        }
+                    }
+                    cand = prev[cand];
+                    chain += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                control |= 1 << items;
+                let token = ((best_off as u16) << 4) | ((best_len - MIN_MATCH) as u16);
+                out.extend_from_slice(&token.to_be_bytes());
+                for p in at..at + best_len {
+                    insert(&mut head, &mut prev, p);
+                }
+                at += best_len;
+            } else {
+                out.push(raw[at]);
+                insert(&mut head, &mut prev, at);
+                at += 1;
+            }
+            items += 1;
+        }
+        out[control_at] = control;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +334,22 @@ mod tests {
         }
         let packed = round_trip(&noise);
         assert!(packed <= noise.len() + noise.len() / 8 + 16);
+    }
+
+    /// The request every warm hit compresses: each registry
+    /// workload's `Submit` payload packs to exactly the reference
+    /// tokens and round-trips.
+    #[test]
+    fn registry_submit_payloads_match_the_reference() {
+        for (name, spec) in crate::protocol::registry_specs() {
+            let raw = crate::protocol::Request::Submit(spec).encode();
+            let packed = compress(&raw);
+            assert!(
+                packed == compress_reference(&raw),
+                "{name}: token stream differs"
+            );
+            assert_eq!(decompress(&packed, raw.len() as u64).unwrap(), raw);
+        }
     }
 
     #[test]

@@ -47,6 +47,8 @@ use crate::protocol::{read_frame, write_frame, MAX_FRAME_BYTES};
 mod compress;
 mod crc32;
 
+#[cfg(test)]
+pub(crate) use compress::compress_reference;
 pub use compress::{compress, decompress};
 pub use crc32::crc32;
 
@@ -206,7 +208,19 @@ impl Stage for CompressStage {
     }
 
     fn encode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        Ok(packets.iter().map(|p| compress(p)).collect())
+        packets
+            .iter()
+            .map(|p| {
+                // the receiver would refuse it after decompression
+                if p.len() as u64 > MAX_MESSAGE_BYTES {
+                    return Err(CodecError::Oversize {
+                        bytes: p.len() as u64,
+                        cap: MAX_MESSAGE_BYTES,
+                    });
+                }
+                Ok(compress(p))
+            })
+            .collect()
     }
 
     fn decode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {

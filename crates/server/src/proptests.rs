@@ -17,7 +17,10 @@
 //! * through the codec chain, every single-bit flip of any wire frame
 //!   is caught by the per-chunk CRC — the flip never reaches the
 //!   payload parser at all;
-//! * arbitrary random bytes never panic any decoder.
+//! * arbitrary random bytes never panic any decoder;
+//! * the LZSS matcher emits exactly the tokens of the straightforward
+//!   reference matcher, so compression ratios and wire bytes are a
+//!   property of the format, not of the matcher's shortcuts.
 
 #![cfg(test)]
 
@@ -25,7 +28,7 @@ use proptest::prelude::*;
 
 use ss_lfsr::LfsrKind;
 
-use crate::codec::{Codec, CodecConfig, CodecError, MIN_CHUNK_BYTES};
+use crate::codec::{compress, compress_reference, Codec, CodecConfig, CodecError, MIN_CHUNK_BYTES};
 use crate::protocol::{
     CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec, PhaseHistogram, Request,
     Response, ServerStats, Span, SpanDump, SpanKind, TierStats, TraceContext, WireError,
@@ -327,6 +330,93 @@ fn through_the_codec_every_flip_is_a_crc_reject() {
                 }
             }
         }
+    }
+}
+
+/// Input lengths where the LZSS matcher's edge cases live: too short
+/// for a 3-byte prefix, and either side of one and two windows.
+const LZSS_EDGE_LENGTHS: [usize; 8] = [0, 1, 2, 3, 4095, 4096, 4097, 8193];
+
+/// A SplitMix64 stream: test inputs drawn from one seed, so a failing
+/// case prints as three numbers instead of kilobytes of bytes.
+fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// `len` symbols drawn from `seed`: `0`/`1`, `0`/`1`/`X`, or any byte
+/// for an alphabet of 2, 3 or 256.
+fn lzss_input(alphabet: u64, len: usize, seed: u64) -> Vec<u8> {
+    let mut next = splitmix(seed);
+    (0..len)
+        .map(|_| match alphabet {
+            256 => next() as u8,
+            _ => b"01X"[(next() % alphabet) as usize],
+        })
+        .collect()
+}
+
+/// Sparse cube text: a header, then `lines` all-`X` lines of `width`
+/// cells with about one in `1 << sparsity` specified.
+fn sparse_cube_text(width: usize, lines: usize, sparsity: u32, seed: u64) -> Vec<u8> {
+    let mut next = splitmix(seed);
+    let mut text = format!("chains 1 depth {width}\n").into_bytes();
+    for _ in 0..lines {
+        for _ in 0..width {
+            let draw = next();
+            text.push(match draw & ((1 << sparsity) - 1) {
+                0 => b"01"[(draw >> 63) as usize],
+                _ => b'X',
+            });
+        }
+        text.push(b'\n');
+    }
+    text
+}
+
+/// A 100 KB run of one byte: every position matches at full length
+/// from the first candidate on.
+#[test]
+fn compress_equals_the_reference_on_a_long_single_byte_run() {
+    let raw = vec![b'X'; 100 * 1024];
+    assert!(compress(&raw) == compress_reference(&raw));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random symbols over 2-, 3- and 256-symbol alphabets, at the
+    /// window-edge lengths half the time and at random lengths
+    /// otherwise.
+    #[test]
+    fn compress_equals_the_reference_matcher(
+        alphabet in prop_oneof![Just(2u64), Just(3), Just(256)],
+        pick in 0usize..16,
+        seed in any::<u64>(),
+    ) {
+        let len = LZSS_EDGE_LENGTHS
+            .get(pick)
+            .copied()
+            .unwrap_or(seed as usize % 20_000);
+        let raw = lzss_input(alphabet, len, seed);
+        prop_assert!(compress(&raw) == compress_reference(&raw), "{} bytes", len);
+    }
+
+    /// Sparse `01X` cube text, the payload the codec exists for.
+    #[test]
+    fn compress_equals_the_reference_on_sparse_cube_text(
+        width in 1usize..600,
+        lines in 0usize..120,
+        sparsity in 0u32..7,
+        seed in any::<u64>(),
+    ) {
+        let raw = sparse_cube_text(width, lines, sparsity, seed);
+        prop_assert!(compress(&raw) == compress_reference(&raw), "{} bytes", raw.len());
     }
 }
 

@@ -161,6 +161,30 @@ impl JobSpec {
     }
 }
 
+/// The nine registry workloads as the warm-repeat benchmark submits
+/// them: profile workloads at a quarter of their cubes with the
+/// profile's LFSR size pinned, file workloads whole, all at the golden
+/// corpus knobs `L=24 S=4 k=6`. Test fixtures for the byte paths every
+/// warm hit pays (request compression, canonical text, cache keys).
+#[cfg(test)]
+pub(crate) fn registry_specs() -> Vec<(&'static str, JobSpec)> {
+    ss_testdata::WorkloadRegistry::all()
+        .iter()
+        .map(|w| {
+            let mut builder = ss_core::Engine::builder().window(24).segment(4).speedup(6);
+            let set = match w.profile() {
+                Some(profile) => {
+                    builder = builder.lfsr_size(profile.lfsr_size);
+                    w.test_set_scaled(0.25)
+                }
+                None => w.test_set(),
+            };
+            let engine = builder.build().expect("registry knobs are valid");
+            (w.name, JobSpec::new(&set, engine.config()))
+        })
+        .collect()
+}
+
 /// Which cache tier served a job's synthesis + encode artifacts.
 ///
 /// Ordered by cost: `Memory` skips everything but the cheap final

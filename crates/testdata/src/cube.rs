@@ -186,6 +186,19 @@ impl TestCube {
         v
     }
 
+    /// Appends the cube's `01X` text to `out`, one byte per position:
+    /// the line starts all `X` and the specified positions are then
+    /// overwritten. The one renderer behind [`Display`](fmt::Display)
+    /// and [`TestSet::to_text`](crate::TestSet::to_text).
+    pub(crate) fn write_text(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.len(), b'X');
+        let line = &mut out[start..];
+        for (i, bit) in self.iter_specified() {
+            line[i] = if bit { b'1' } else { b'0' };
+        }
+    }
+
     /// Generates a random cube with exactly `specified` specified
     /// positions (distinct, uniformly placed) out of `len`.
     ///
@@ -215,14 +228,9 @@ impl fmt::Debug for TestCube {
 
 impl fmt::Display for TestCube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.len() {
-            match self.get(i) {
-                Some(true) => write!(f, "1")?,
-                Some(false) => write!(f, "0")?,
-                None => write!(f, "X")?,
-            }
-        }
-        Ok(())
+        let mut text = Vec::with_capacity(self.len());
+        self.write_text(&mut text);
+        f.write_str(std::str::from_utf8(&text).expect("cube text is ASCII"))
     }
 }
 
@@ -248,22 +256,38 @@ impl Error for ParseCubeError {}
 impl FromStr for TestCube {
     type Err = ParseCubeError;
 
+    /// One pass over the bytes, filling both planes a word at a time.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut cube = TestCube::all_x(s.chars().count());
-        for (i, c) in s.chars().enumerate() {
-            match c {
-                '0' => cube.set(i, false),
-                '1' => cube.set(i, true),
-                'x' | 'X' => {}
-                other => {
-                    return Err(ParseCubeError {
-                        position: i,
-                        found: other,
-                    })
+        let words = s.len().div_ceil(64);
+        let mut care = Vec::with_capacity(words);
+        let mut values = Vec::with_capacity(words);
+        for (w, chunk) in s.as_bytes().chunks(64).enumerate() {
+            let (mut c, mut v) = (0u64, 0u64);
+            for (j, &byte) in chunk.iter().enumerate() {
+                match byte {
+                    b'0' => c |= 1 << j,
+                    b'1' => {
+                        c |= 1 << j;
+                        v |= 1 << j;
+                    }
+                    b'x' | b'X' => {}
+                    _ => {
+                        // every earlier byte was a one-byte ASCII char,
+                        // so the byte index is the char index and a
+                        // char boundary
+                        let position = w * 64 + j;
+                        let found = s[position..].chars().next().expect("char boundary");
+                        return Err(ParseCubeError { position, found });
+                    }
                 }
             }
+            care.push(c);
+            values.push(v);
         }
-        Ok(cube)
+        Ok(TestCube {
+            care: BitVec::from_words(s.len(), &care),
+            values: BitVec::from_words(s.len(), &values),
+        })
     }
 }
 
@@ -286,6 +310,18 @@ mod tests {
         let err = "10Z1".parse::<TestCube>().unwrap_err();
         assert_eq!(err.position, 2);
         assert!(err.to_string().contains("'Z'"));
+    }
+
+    #[test]
+    fn parse_reports_char_positions_for_non_ascii_input() {
+        let err = "1é0Z".parse::<TestCube>().unwrap_err();
+        assert_eq!(err.position, 1);
+        assert_eq!(err.found, 'é');
+        // past a word boundary the index is still the char index
+        let err = format!("{}\u{2603}", "X".repeat(70))
+            .parse::<TestCube>()
+            .unwrap_err();
+        assert_eq!((err.position, err.found), (70, '\u{2603}'));
     }
 
     #[test]

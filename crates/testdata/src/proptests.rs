@@ -93,6 +93,53 @@ proptest! {
         prop_assert_eq!(parsed, set);
     }
 
+    /// The direct printer behind `Display` and `to_text` equals a
+    /// per-position rendering through `TestCube::get`, for cubes built
+    /// from raw planes (not parsed) across several words per cube.
+    #[test]
+    fn cube_text_equals_per_position_rendering(
+        chains in 1usize..9,
+        depth in 1usize..40,
+        rows in proptest::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let cfg = ScanConfig::new(chains, depth).unwrap();
+        let cells = cfg.cells();
+        let words = cells.div_ceil(64);
+        let mut set = TestSet::new(cfg);
+        let mut expected = format!("chains {chains} depth {depth}\n");
+        for &row in &rows {
+            let mut state = row;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state
+            };
+            // ANDing `row % 4` draws thins the care plane: 0 → fully
+            // specified, 3 → about one position in eight
+            let care_words: Vec<u64> = (0..words)
+                .map(|_| (0..row % 4).fold(u64::MAX, |word, _| word & next()))
+                .collect();
+            let value_words: Vec<u64> = (0..words).map(|_| next()).collect();
+            let care = BitVec::from_words(cells, &care_words);
+            let mut values = BitVec::from_words(cells, &value_words);
+            values.and_with(&care);
+            let cube = TestCube::from_planes(care, values);
+            let oracle: String = (0..cells)
+                .map(|i| match cube.get(i) {
+                    Some(true) => '1',
+                    Some(false) => '0',
+                    None => 'X',
+                })
+                .collect();
+            prop_assert_eq!(cube.to_string(), oracle.clone());
+            expected.push_str(&oracle);
+            expected.push('\n');
+            set.push(cube).unwrap();
+        }
+        prop_assert_eq!(set.to_text(), expected);
+    }
+
     /// Cube-file round-trip over arbitrary scan geometries:
     /// `parse(write(set))` is identity for every geometry and cube mix,
     /// and a second write is byte-stable.

@@ -219,17 +219,18 @@ impl TestSet {
     /// 01XX10...
     /// ```
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "chains {} depth {}\n",
             self.config.chains(),
             self.config.depth()
-        ));
+        )
+        .into_bytes();
+        out.reserve(self.cubes.len() * (self.config.cells() + 1));
         for cube in &self.cubes {
-            out.push_str(&cube.to_string());
-            out.push('\n');
+            cube.write_text(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("cube text is ASCII")
     }
 
     /// Parses the text format produced by [`to_text`](TestSet::to_text).
