@@ -11,17 +11,27 @@
 //! * **expand** — seed-window expansion
 //!   ([`ss_core::try_expand_seed_packed`] vs
 //!   [`ss_core::try_expand_seed`]);
-//! * **embed** — fortuitous-embedding detection: the table-driven,
-//!   64-seed-sliced [`ss_core::EmbeddingMap::build`] (the "packed"
-//!   column) vs
+//! * **embed** — fortuitous-embedding detection: the seed-lane
+//!   [`ss_core::EmbeddingMap::build`] (64 seeds clocked per word, the
+//!   "packed" column) vs
 //!   [`EmbeddingMap::build_scalar`](ss_core::EmbeddingMap::build_scalar),
 //!   on `mini` and on s38417/s38584 at scale 0.25 with the warm-repeat
-//!   knobs (L=24 S=4 k=6).
+//!   knobs (L=24 S=4 k=6);
+//! * **table** — the expression table: the unit-seed-lane
+//!   [`ExprTable::build`] vs the `ExpressionStream` reference
+//!   [`ExprTable::build_reference`], on the churn-fleet profile
+//!   (s9234 at scale 0.1) and on s38417 at scale 0.25, both at L=24.
+//!   Each also gets a `/from_bytes` row: the disk-hit decode
+//!   ([`Artifact::from_bytes`], which rebuilds the table) in the
+//!   packed column, and the same decode with its table build swapped
+//!   for the reference (decode − lanes + reference) in the scalar
+//!   column.
 //!
 //! Besides the criterion console output, the run records the measured
 //! throughput ratios in `BENCH_packed.json` at the workspace root —
 //! the first entry of the repo's bench-baseline trajectory. CI uploads
-//! the file as an artifact.
+//! the file as an artifact, and runs the bench as a gate: it fails if
+//! the lanes table build is ever slower than the reference.
 
 use std::time::{Duration, Instant};
 
@@ -30,8 +40,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ss_circuit::{random_circuit, CircuitSpec, FaultList, FaultSimulator};
-use ss_core::{try_expand_seed, EmbeddingMap, Engine, PackedWindowExpander, Table};
+use ss_core::{try_expand_seed, EmbeddingMap, Engine, ExprTable, PackedWindowExpander, Table};
 use ss_gf2::{BitVec, PackedPatterns};
+use ss_store::Artifact;
 use ss_testdata::{generate_test_set, CubeProfile, TestSet};
 
 /// Seconds per iteration: one warm-up call, then at least one measured
@@ -133,7 +144,7 @@ fn embed_rows(rows: &mut Vec<Row>) {
     }
 }
 
-/// One embed row: the table-driven build against the scalar oracle,
+/// One embed row: the seed-lane build against the scalar oracle,
 /// both on one thread.
 fn embed_row(rows: &mut Vec<Row>, name: &str, set: &TestSet, engine: &Engine) {
     let encoded = engine.encode(set).expect("standard workload encodes");
@@ -141,13 +152,65 @@ fn embed_row(rows: &mut Vec<Row>, name: &str, set: &TestSet, engine: &Engine) {
     let scalar_s = time_per_iter(|| {
         EmbeddingMap::build_scalar(set, encoded.encoding(), ctx.lfsr(), ctx.shifter())
     });
-    let packed_s = time_per_iter(|| EmbeddingMap::build(set, encoded.encoding(), ctx.table()));
+    let packed_s =
+        time_per_iter(|| EmbeddingMap::build(set, encoded.encoding(), ctx.lfsr(), ctx.shifter()));
     rows.push(Row {
         name: name.to_string(),
         work_items: encoded.seed_count() * encoded.encoding().window,
         scalar_s,
         packed_s,
     });
+}
+
+fn table_rows(rows: &mut Vec<Row>) {
+    let churn = CubeProfile::s9234().scaled(0.1);
+    let s38417 = CubeProfile::s38417().scaled(0.25);
+    for (name, profile) in [("churn-s9234", churn), ("s38417", s38417)] {
+        let engine = Engine::builder()
+            .window(24)
+            .segment(4)
+            .speedup(6)
+            .lfsr_size(profile.lfsr_size)
+            .build()
+            .unwrap();
+        let (set, _) = engine
+            .encodable_subset(&ss_bench::workload(&profile))
+            .unwrap();
+        let encoded = engine.encode(&set).expect("standard workload encodes");
+        let ctx = encoded.ctx();
+        let (lfsr, shifter, scan) = (ctx.lfsr(), ctx.shifter(), set.config());
+        let reference = ExprTable::build_reference(lfsr, shifter, scan, 24);
+        assert!(
+            ExprTable::build(lfsr, shifter, scan, 24) == reference,
+            "{name}: lanes table diverged from the reference"
+        );
+        let reference_s = time_per_iter(|| ExprTable::build_reference(lfsr, shifter, scan, 24));
+        let lanes_s = time_per_iter(|| ExprTable::build(lfsr, shifter, scan, 24));
+        let work_items = reference.cycles() * reference.chains();
+        rows.push(Row {
+            name: format!("table/{name}-L24"),
+            work_items,
+            scalar_s: reference_s,
+            packed_s: lanes_s,
+        });
+
+        let key = 0x7ab1e;
+        let bytes = Artifact {
+            ctx: ctx.clone(),
+            set: set.clone(),
+            dropped: 0,
+            encoding: encoded.encoding().clone(),
+            report_digest: 0,
+        }
+        .to_bytes(key);
+        let decode_s = time_per_iter(|| Artifact::from_bytes(&bytes, key, Some(1)).unwrap());
+        rows.push(Row {
+            name: format!("table/{name}-L24/from_bytes"),
+            work_items,
+            scalar_s: decode_s - lanes_s + reference_s,
+            packed_s: decode_s,
+        });
+    }
 }
 
 fn write_json(rows: &[Row]) {
@@ -184,6 +247,7 @@ fn bench_packed_vs_scalar(c: &mut Criterion) {
     fsim_rows(&mut rows);
     expand_rows(&mut rows);
     embed_rows(&mut rows);
+    table_rows(&mut rows);
 
     let mut table = Table::new(["kernel", "items", "scalar", "packed", "speedup"]);
     for row in &rows {
@@ -197,6 +261,19 @@ fn bench_packed_vs_scalar(c: &mut Criterion) {
     }
     println!("{table}");
     write_json(&rows);
+
+    // gate: the lanes table build must never be slower than the
+    // reference it replaced — CI runs this bench and a failed assert
+    // fails the workflow step
+    for row in rows.iter().filter(|r| r.name.starts_with("table/")) {
+        assert!(
+            row.speedup() > 1.0,
+            "{}: lanes ({:.3} ms) is not faster than the reference ({:.3} ms)",
+            row.name,
+            row.packed_s * 1e3,
+            row.scalar_s * 1e3
+        );
+    }
 
     // criterion samples of the packed kernels themselves, for trending
     let netlist = random_circuit(&CircuitSpec::mini(), ss_bench::WORKLOAD_SEED);

@@ -343,7 +343,8 @@ impl<'a> Encoded<'a> {
         let embedding = EmbeddingMap::build_threaded(
             self.set,
             &self.encoding,
-            self.ctx.table(),
+            self.ctx.lfsr(),
+            self.ctx.shifter(),
             resolve_threads(self.ctx.config().threads),
         );
         Embedded {

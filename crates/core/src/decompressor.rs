@@ -324,7 +324,7 @@ mod tests {
             .unwrap()
             .encode(config.fill_seed)
             .unwrap();
-        let map = EmbeddingMap::build(&set, &encoding, &table);
+        let map = EmbeddingMap::build(&set, &encoding, pipeline.lfsr(), pipeline.shifter());
         let plan = SegmentPlan::build(&map, config.segment);
         let ms = ModeSelect::from_plan(&plan);
         let mut dec = Decompressor::new(

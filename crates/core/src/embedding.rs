@@ -9,19 +9,15 @@
 //! has.
 
 use ss_gf2::BitVec;
-use ss_lfsr::{Lfsr, PhaseShifter};
+use ss_lfsr::{Lfsr, PackedLfsrStream, PhaseShifter};
 use ss_testdata::TestSet;
 
 use crate::encoder::EncodingResult;
-use crate::expr_table::ExprTable;
 use crate::pipeline::try_expand_seed;
 
 /// Seeds evaluated together: seed `k` of a block is bit lane `k` of
 /// every `u64` the block works on.
 const SEEDS_PER_BLOCK: usize = 64;
-
-/// Seed variables per Four-Russians lookup table (256 entries each).
-const GROUP_BITS: usize = 8;
 
 /// For every cube, every `(seed, window position)` whose expanded
 /// vector embeds it — intentional and fortuitous matches alike.
@@ -44,8 +40,11 @@ pub struct EmbeddingMap {
 /// cells some cube cares about. Built once per map and shared
 /// read-only by every worker.
 struct CarePlan {
-    /// [`ExprTable::row_offset`] of each needed cell, by needed index.
-    offsets: Vec<usize>,
+    /// `loads[t]` = `(needed index, chain)` of every needed cell the
+    /// chains shift in at load cycle `t` of a vector (`t < r`).
+    loads: Vec<Vec<(u32, u32)>>,
+    /// Number of needed cells.
+    needed: usize,
     /// Every cube's care bits, flattened, each as `needed index << 1`
     /// with the low bit set for a care-0 bit.
     bits: Vec<u32>,
@@ -54,23 +53,29 @@ struct CarePlan {
 }
 
 impl CarePlan {
-    fn new(set: &TestSet, table: &ExprTable) -> Self {
-        let mut needed = vec![u32::MAX; set.config().cells()];
-        let mut offsets = Vec::new();
+    fn new(set: &TestSet) -> Self {
+        let scan = set.config();
+        let mut index = vec![u32::MAX; scan.cells()];
+        let mut loads = vec![Vec::new(); scan.depth()];
+        let mut needed = 0u32;
         let mut bits = Vec::new();
         let mut starts = vec![0];
         for cube in set {
             for (cell, value) in cube.iter_specified() {
-                if needed[cell] == u32::MAX {
-                    needed[cell] = u32::try_from(offsets.len()).expect("cell count fits u32");
-                    offsets.push(table.row_offset(cell));
+                if index[cell] == u32::MAX {
+                    index[cell] = needed;
+                    let (chain, pos) = scan.chain_of(cell);
+                    let chain = u32::try_from(chain).expect("chain count fits u32");
+                    loads[scan.load_cycle(pos)].push((needed, chain));
+                    needed += 1;
                 }
-                bits.push(needed[cell] << 1 | u32::from(!value));
+                bits.push(index[cell] << 1 | u32::from(!value));
             }
             starts.push(bits.len());
         }
         CarePlan {
-            offsets,
+            loads,
+            needed: needed as usize,
             bits,
             starts,
         }
@@ -78,30 +83,36 @@ impl CarePlan {
 }
 
 impl EmbeddingMap {
-    /// Evaluates every seed's window straight from the expression
-    /// table and records all cube matches.
+    /// Clocks the decompressor's LFSR for 64 seeds at once and records
+    /// every cube match.
     ///
-    /// Seeds are taken 64 at a time and bit-sliced, so one `u64`
-    /// carries one seed variable for the whole block. Each table row
-    /// is then a linear form over those slices, evaluated for all 64
-    /// seeds at once through 8-bit lookup tables (the Method of Four
-    /// Russians). Only rows of scan cells that some cube cares about
-    /// are evaluated. A cube is matched by ANDing its care bits into a
-    /// 64-seed mask, stopping as soon as the mask empties. Results are
-    /// bit-identical to [`EmbeddingMap::build_scalar`], which property
-    /// tests pin.
+    /// Seeds are taken 64 at a time as the lanes of one
+    /// [`PackedLfsrStream`]: lane `k` is loaded with seed `k` of the
+    /// block, so each clock advances all 64 registers with a handful
+    /// of word XORs, and [`PhaseShifter::output_packed`] gives one
+    /// chain's output bit for all 64 seeds in one word. Only the
+    /// outputs of scan cells some cube cares about are evaluated. A
+    /// cube is matched by ANDing its care bits into a 64-seed mask,
+    /// stopping as soon as the mask empties. Lane `k` is exactly the
+    /// register [`build_scalar`](Self::build_scalar) steps for seed
+    /// `k`, so results are bit-identical to it, which property tests
+    /// pin.
     ///
-    /// `table` must come from the same hardware the encoding was
+    /// `lfsr` and `shifter` must be the hardware the encoding was
     /// computed against, otherwise the intentional placements will not
     /// even match (and [`EmbeddingMap::validate`] will say so).
     ///
     /// # Panics
     ///
-    /// Panics if the table's scan geometry or seed width differs from
-    /// the encoding's, or the table covers fewer window positions than
-    /// the encoding uses.
-    pub fn build(set: &TestSet, result: &EncodingResult, table: &ExprTable) -> Self {
-        Self::build_threaded(set, result, table, 1)
+    /// Panics if the shifter does not read the LFSR or drive the set's
+    /// scan chains, or the seeds are not LFSR-wide.
+    pub fn build(
+        set: &TestSet,
+        result: &EncodingResult,
+        lfsr: &Lfsr,
+        shifter: &PhaseShifter,
+    ) -> Self {
+        Self::build_threaded(set, result, lfsr, shifter, 1)
     }
 
     /// [`build`](Self::build) with the 64-seed blocks partitioned
@@ -116,29 +127,29 @@ impl EmbeddingMap {
     pub fn build_threaded(
         set: &TestSet,
         result: &EncodingResult,
-        table: &ExprTable,
+        lfsr: &Lfsr,
+        shifter: &PhaseShifter,
         threads: usize,
     ) -> Self {
-        assert_eq!(table.scan(), set.config(), "table and set share one scan");
+        assert_eq!(shifter.input_count(), lfsr.size(), "shifter reads the LFSR");
         assert_eq!(
-            table.vars(),
+            shifter.output_count(),
+            set.config().chains(),
+            "shifter drives the set's scan chains"
+        );
+        assert_eq!(
             result.lfsr_size,
-            "table and seeds share one LFSR"
+            lfsr.size(),
+            "encoding and hardware share one LFSR"
         );
-        assert!(
-            result.window <= table.window(),
-            "table covers {} positions, encoding needs {}",
-            table.window(),
-            result.window
-        );
-        let plan = CarePlan::new(set, table);
+        let plan = CarePlan::new(set);
         let seed_count = result.seeds.len();
         let blocks = seed_count.div_ceil(SEEDS_PER_BLOCK);
         let threads = threads.clamp(1, blocks.max(1));
         let chunk = blocks.div_ceil(threads);
         let partials = crate::builder::run_pool(threads, threads, |w| {
             let range = (w * chunk).min(blocks)..((w + 1) * chunk).min(blocks);
-            match_blocks(set.len(), result, table, &plan, range)
+            match_blocks(set.len(), result, lfsr, shifter, &plan, range)
         });
         let mut partials = partials.into_iter();
         let mut matches = partials.next().expect("at least one worker");
@@ -247,58 +258,32 @@ impl EmbeddingMap {
 fn match_blocks(
     cubes: usize,
     result: &EncodingResult,
-    table: &ExprTable,
+    lfsr: &Lfsr,
+    shifter: &PhaseShifter,
     plan: &CarePlan,
     blocks: std::ops::Range<usize>,
 ) -> Vec<Vec<(usize, usize)>> {
-    let window = result.window;
-    let groups = table.vars().div_ceil(GROUP_BITS);
-    let rows_per_position = table.rows_per_position();
-    // scratch reused across blocks: `slices[j]` is seed bit `j` of
-    // every lane; one 256-entry table per group of GROUP_BITS seed
-    // variables holds the XOR of the group's slices selected by each
-    // byte value; `values[i]` is needed cell `i` at the current window
-    // position, one lane per seed
-    let mut slices = vec![0u64; table.stride() * 64];
-    let mut luts = vec![0u64; groups << GROUP_BITS];
-    let mut values = vec![0u64; plan.offsets.len()];
+    // scratch reused across blocks: `values[i]` is needed cell `i` at
+    // the current window position, one lane per seed
+    let mut values = vec![0u64; plan.needed];
     let mut block_start = vec![0usize; cubes];
     let mut matches = vec![Vec::new(); cubes];
     for block in blocks {
         let first = block * SEEDS_PER_BLOCK;
         let seeds = &result.seeds[first..result.seeds.len().min(first + SEEDS_PER_BLOCK)];
         let live = u64::MAX >> (SEEDS_PER_BLOCK - seeds.len());
-
-        slices.fill(0);
-        for (lane, enc) in seeds.iter().enumerate() {
-            for (w, &word) in enc.seed.as_words().iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    slices[w * 64 + rest.trailing_zeros() as usize] |= 1 << lane;
-                    rest &= rest - 1;
-                }
-            }
-        }
-        for (g, lut) in luts.chunks_exact_mut(1 << GROUP_BITS).enumerate() {
-            let group = &slices[g * GROUP_BITS..];
-            for b in 1..lut.len() {
-                lut[b] = lut[b & (b - 1)] ^ group[b.trailing_zeros() as usize];
-            }
-        }
+        let mut stream = PackedLfsrStream::from_states(lfsr, seeds.iter().map(|enc| &enc.seed));
 
         for (start, list) in block_start.iter_mut().zip(&matches) {
             *start = list.len();
         }
-        for p in 0..window {
-            let base = p * rows_per_position;
-            for (value, &offset) in values.iter_mut().zip(&plan.offsets) {
-                let words = table.row_words(base + offset);
-                let mut acc = 0;
-                for (g, lut) in luts.chunks_exact(1 << GROUP_BITS).enumerate() {
-                    let byte = words[g * GROUP_BITS / 64] >> (g * GROUP_BITS % 64) & 0xff;
-                    acc ^= lut[byte as usize];
+        for p in 0..result.window {
+            // one vector load: r clocks, sampling the needed chains
+            for cells in &plan.loads {
+                for &(i, chain) in cells {
+                    values[i as usize] = shifter.output_packed(stream.slices(), chain as usize);
                 }
-                *value = acc;
+                stream.step();
             }
             for (ci, list) in matches.iter_mut().enumerate() {
                 let mut mask = live;
@@ -362,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn table_build_matches_the_scalar_oracle() {
+    fn lane_build_matches_the_scalar_oracle() {
         use crate::artifacts::Encoded;
         use crate::builder::Engine;
         use ss_testdata::{generate_test_set, CubeProfile};
@@ -376,7 +361,7 @@ mod tests {
             .unwrap();
         let ctx = engine.synthesize(&set).unwrap();
         let encoded = Encoded::from_ctx_ref(&set, &ctx).unwrap();
-        let map = EmbeddingMap::build(&set, encoded.encoding(), ctx.table());
+        let map = EmbeddingMap::build(&set, encoded.encoding(), ctx.lfsr(), ctx.shifter());
         let scalar =
             EmbeddingMap::build_scalar(&set, encoded.encoding(), ctx.lfsr(), ctx.shifter());
         assert_eq!(map, scalar, "embedding maps must agree bit for bit");
@@ -384,8 +369,13 @@ mod tests {
         // the threaded build is the same map at every worker count,
         // including widths beyond the seed count
         for threads in [2usize, 3, 64] {
-            let threaded =
-                EmbeddingMap::build_threaded(&set, encoded.encoding(), ctx.table(), threads);
+            let threaded = EmbeddingMap::build_threaded(
+                &set,
+                encoded.encoding(),
+                ctx.lfsr(),
+                ctx.shifter(),
+                threads,
+            );
             assert_eq!(threaded, scalar, "threads={threads}");
         }
     }

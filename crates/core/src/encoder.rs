@@ -39,10 +39,10 @@
 //!   coordinate frame instead of the `n`-bit ambient space.
 //! * **A streamed projected expression table.** Expression-table row
 //!   `t+1` is row `t` advanced by the LFSR transition matrix
-//!   ([`ExprTable::transition`]), so the whole table's projection into
-//!   the frame is *streamed* once per seed — `O(n)` words per cycle —
-//!   rather than projected row by row. One probed equation then costs
-//!   one table lookup.
+//!   ([`ExprTable::transition_rows`]), so the whole table's
+//!   projection into the frame is *streamed* once per seed — `O(n)`
+//!   words per cycle — rather than projected row by row. One probed
+//!   equation then costs one table lookup.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
 //!   projected system. Later rounds do not re-eliminate it: committed
@@ -404,39 +404,6 @@ impl FastElim {
     }
 }
 
-/// Per-encode constants for streaming projected tables: the sparse
-/// transition-matrix rows and the phase-shifter tap columns of every
-/// chain (the cycle-0 table rows, since `T^0 = I`).
-struct StreamConsts {
-    /// `t_rows[i]` = ones of row `i` of the transition matrix `T`.
-    t_rows: Vec<Vec<u32>>,
-    /// `ps_taps[chain]` = ones of the chain's phase-shifter row.
-    ps_taps: Vec<Vec<u32>>,
-}
-
-impl StreamConsts {
-    fn build(table: &ExprTable) -> StreamConsts {
-        let t = table.transition();
-        let t_rows = (0..t.row_count())
-            .map(|i| t.row(i).iter_ones().map(|k| k as u32).collect())
-            .collect();
-        let ps_taps = (0..table.chains())
-            .map(|chain| {
-                let mut taps = Vec::new();
-                for (wi, &w) in table.expr_words(0, chain).iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        taps.push((wi * 64 + w.trailing_zeros() as usize) as u32);
-                        w &= w - 1;
-                    }
-                }
-                taps
-            })
-            .collect();
-        StreamConsts { t_rows, ps_taps }
-    }
-}
-
 /// Truth-table probing engine for free spaces of dimension
 /// `<= MAX_DIM`: the space holds at most `2^10` candidate seeds, so
 /// every expression-table row is materialised as the **truth table**
@@ -474,12 +441,7 @@ impl TtEngine {
     /// per mask); larger spaces use the fixed-frame or general tiers.
     const MAX_DIM: usize = 10;
 
-    fn build(
-        space: &AffineSpace,
-        table: &ExprTable,
-        consts: &StreamConsts,
-        recycle: Option<Vec<u64>>,
-    ) -> TtEngine {
+    fn build(space: &AffineSpace, table: &ExprTable, recycle: Option<Vec<u64>>) -> TtEngine {
         let dim = space.dim();
         debug_assert!(dim <= Self::MAX_DIM);
         let w0 = ((1usize << dim) / 64).max(1);
@@ -543,7 +505,7 @@ impl TtEngine {
         let mut tt_next = vec![0u64; n * w0];
         for c in 0..cycles {
             let base = c * chains * w0;
-            for (ch, taps) in consts.ps_taps.iter().enumerate() {
+            for (ch, taps) in table.shifter_taps().iter().enumerate() {
                 let out = &mut pt[base + ch * w0..base + (ch + 1) * w0];
                 for &tap in taps {
                     let src = &tt[tap as usize * w0..(tap as usize + 1) * w0];
@@ -551,7 +513,7 @@ impl TtEngine {
                 }
             }
             if c + 1 < cycles {
-                for (i, trow) in consts.t_rows.iter().enumerate() {
+                for (i, trow) in table.transition_rows().iter().enumerate() {
                     let out = &mut tt_next[i * w0..(i + 1) * w0];
                     out.fill(0);
                     for &k in trow {
@@ -620,12 +582,7 @@ impl FixedEngine {
     /// (bit 63 carries the right-hand side).
     const MAX_DIM: usize = 63;
 
-    fn build(
-        space: &AffineSpace,
-        table: &ExprTable,
-        consts: &StreamConsts,
-        recycle: Option<Vec<u64>>,
-    ) -> FixedEngine {
+    fn build(space: &AffineSpace, table: &ExprTable, recycle: Option<Vec<u64>>) -> FixedEngine {
         let dim = space.dim();
         debug_assert!(dim <= Self::MAX_DIM);
         let n = space.vars();
@@ -653,7 +610,7 @@ impl FixedEngine {
         pt.resize(cycles * chains, 0);
         for c in 0..cycles {
             let base = c * chains;
-            for (ch, taps) in consts.ps_taps.iter().enumerate() {
+            for (ch, taps) in table.shifter_taps().iter().enumerate() {
                 let mut row = 0u64;
                 let mut e = false;
                 for &tap in taps {
@@ -664,7 +621,7 @@ impl FixedEngine {
             }
             if c + 1 < cycles {
                 z_next.fill(0);
-                for (i, trow) in consts.t_rows.iter().enumerate() {
+                for (i, trow) in table.transition_rows().iter().enumerate() {
                     let mut acc = 0u64;
                     let mut zb = false;
                     for &k in trow {
@@ -938,7 +895,6 @@ impl<'a> WindowEncoder<'a> {
         let mut caches: Vec<CubeCache> =
             (0..self.set.len()).map(|_| CubeCache::default()).collect();
         let mut level_order: Vec<usize> = Vec::with_capacity(self.set.len());
-        let consts = StreamConsts::build(self.table);
         // per-cube equations as (position-independent row offset, bit),
         // sorted by offset: the scan-geometry arithmetic and care-bit
         // iteration are paid once per cube, and probing walks each
@@ -995,19 +951,9 @@ impl<'a> WindowEncoder<'a> {
             let mut prober = {
                 let space = solver.affine_space();
                 if space.dim() <= TtEngine::MAX_DIM {
-                    Prober::Tt(TtEngine::build(
-                        &space,
-                        self.table,
-                        &consts,
-                        recycled_pt.take(),
-                    ))
+                    Prober::Tt(TtEngine::build(&space, self.table, recycled_pt.take()))
                 } else if space.dim() <= FixedEngine::MAX_DIM {
-                    Prober::Fixed(FixedEngine::build(
-                        &space,
-                        self.table,
-                        &consts,
-                        recycled_pt.take(),
-                    ))
+                    Prober::Fixed(FixedEngine::build(&space, self.table, recycled_pt.take()))
                 } else {
                     Prober::General(GeneralCtx { space })
                 }
@@ -1112,9 +1058,9 @@ impl<'a> WindowEncoder<'a> {
                         Prober::General(_) => recycled_pt.take(),
                     };
                     prober = if free <= TtEngine::MAX_DIM {
-                        Prober::Tt(TtEngine::build(&space, self.table, &consts, recycle))
+                        Prober::Tt(TtEngine::build(&space, self.table, recycle))
                     } else {
-                        Prober::Fixed(FixedEngine::build(&space, self.table, &consts, recycle))
+                        Prober::Fixed(FixedEngine::build(&space, self.table, recycle))
                     };
                     for cache in &mut caches {
                         if cache.init {

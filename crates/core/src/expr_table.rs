@@ -7,9 +7,17 @@
 //! are computed once per `(LFSR, shifter, L)` configuration and shared
 //! by every seed. Rows are stored in one flat word array to keep the
 //! table cache-friendly (an s38417-sized table is ~13 MB).
+//!
+//! The table is built by clocking the hardware itself, bit-sliced.
+//! Row `(t, c)` is `ps_c · T^t`, so its entry `v` is chain `c`'s output
+//! at cycle `t` when the seed is the unit vector `e_v`. A
+//! [`PackedLfsrStream`] whose 64 lanes hold `e_{64w}..e_{64w+63}`
+//! therefore yields word `w` of every row, one cycle per clock: the
+//! XOR of chain `c`'s tapped slices. `ceil(n/64)` such passes fill the
+//! table, with no per-cycle allocation.
 
-use ss_gf2::{BitMatrix, BitVec};
-use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter};
+use ss_gf2::BitVec;
+use ss_lfsr::{ExpressionStream, Lfsr, PackedLfsrStream, PhaseShifter};
 use ss_testdata::ScanConfig;
 
 /// The expression table: for each cycle `t < L*r` and chain `c`, the
@@ -31,10 +39,12 @@ use ss_testdata::ScanConfig;
 /// assert_eq!(table.cycles(), 12);
 /// // cycle 0: cell expressions are the unit vectors
 /// assert_eq!(table.expr(0, 5), ss_gf2::BitVec::unit(8, 5));
+/// // the lanes build equals the symbolic-streaming reference
+/// assert_eq!(table, ExprTable::build_reference(&lfsr, &shifter, scan, 3));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExprTable {
     words: Vec<u64>,
     stride: usize,
@@ -43,21 +53,80 @@ pub struct ExprTable {
     cycles: usize,
     scan: ScanConfig,
     window: usize,
-    /// The LFSR's transition matrix `T` (`state(t+1) = T * state(t)`):
+    /// The LFSR transition `T` in sparse form ([`Lfsr::transition_rows`]):
     /// row `t+1` of the table is row `t` advanced by `T`, which lets
     /// derived per-round tables (the encoder's projected expressions)
     /// be *streamed* cycle by cycle instead of recomputed per row.
-    transition: BitMatrix,
+    transition_rows: Vec<Vec<u32>>,
+    /// Every chain's phase-shifter taps ([`PhaseShifter::tap_lists`]):
+    /// the cycle-0 rows in sparse form.
+    shifter_taps: Vec<Vec<u32>>,
 }
 
 impl ExprTable {
-    /// Builds the table for `window` vectors of scan geometry `scan`.
+    /// Builds the table for `window` vectors of scan geometry `scan`
+    /// by clocking unit-seed lanes (see the module docs). Word for
+    /// word equal to [`build_reference`](Self::build_reference).
     ///
     /// # Panics
     ///
     /// Panics if the shifter's output count differs from the scan
     /// chain count, or its input count from the LFSR size.
     pub fn build(lfsr: &Lfsr, shifter: &PhaseShifter, scan: ScanConfig, window: usize) -> Self {
+        let mut table = ExprTable::empty(lfsr, shifter, scan, window);
+        let (vars, stride, chains) = (table.vars, table.stride, table.chains);
+        for pass in 0..stride {
+            let lanes = (vars - pass * 64).min(64);
+            let units = (0..lanes).map(|v| BitVec::unit(vars, pass * 64 + v));
+            let mut stream = PackedLfsrStream::from_states(lfsr, units);
+            for t in 0..table.cycles {
+                for c in 0..chains {
+                    table.words[(t * chains + c) * stride + pass] =
+                        shifter.output_packed(stream.slices(), c);
+                }
+                stream.step();
+            }
+        }
+        table
+    }
+
+    /// The reference oracle for [`build`](Self::build): steps an
+    /// [`ExpressionStream`] (one symbolic row per LFSR cell, a fresh
+    /// [`BitVec`] per cell per cycle) and reads each chain's
+    /// expression off it. Its sparse transition rows and shifter taps
+    /// are read off the dense matrices, so equality also pins the
+    /// sparse structure the encoder streams with. Kept only to pin
+    /// `build` — the two must agree word for word.
+    ///
+    /// # Panics
+    ///
+    /// As [`build`](Self::build).
+    pub fn build_reference(
+        lfsr: &Lfsr,
+        shifter: &PhaseShifter,
+        scan: ScanConfig,
+        window: usize,
+    ) -> Self {
+        let mut table = ExprTable::empty(lfsr, shifter, scan, window);
+        let (stride, chains) = (table.stride, table.chains);
+        let mut stream = ExpressionStream::new(lfsr);
+        for t in 0..table.cycles {
+            for c in 0..chains {
+                let expr = stream.output_expr(shifter, c);
+                let base = (t * chains + c) * stride;
+                table.words[base..base + stride].copy_from_slice(expr.as_words());
+            }
+            stream.step();
+        }
+        let sparse = |row: &BitVec| row.iter_ones().map(|i| i as u32).collect();
+        table.transition_rows = lfsr.transition_matrix().iter_rows().map(sparse).collect();
+        table.shifter_taps = shifter.rows().iter_rows().map(sparse).collect();
+        table
+    }
+
+    /// A zero-filled table of the right shape, carrying the sparse
+    /// transition rows and shifter taps of `lfsr` and `shifter`.
+    fn empty(lfsr: &Lfsr, shifter: &PhaseShifter, scan: ScanConfig, window: usize) -> Self {
         assert_eq!(
             shifter.output_count(),
             scan.chains(),
@@ -72,33 +141,31 @@ impl ExprTable {
         let stride = vars.div_ceil(64);
         let chains = scan.chains();
         let cycles = window * scan.depth();
-        let mut words = vec![0u64; cycles * chains * stride];
-        let mut stream = ExpressionStream::new(lfsr);
-        for t in 0..cycles {
-            for c in 0..chains {
-                let expr = stream.output_expr(shifter, c);
-                let base = (t * chains + c) * stride;
-                words[base..base + stride].copy_from_slice(expr.as_words());
-            }
-            stream.step();
-        }
         ExprTable {
-            words,
+            words: vec![0u64; cycles * chains * stride],
             stride,
             vars,
             chains,
             cycles,
             scan,
             window,
-            transition: lfsr.transition_matrix(),
+            transition_rows: lfsr.transition_rows(),
+            shifter_taps: shifter.tap_lists().to_vec(),
         }
     }
 
-    /// The LFSR transition matrix `T` the table was built from
-    /// (`expr(t+1, c) = expr(t, c) * T`, i.e. `state(t+1) = T *
-    /// state(t)`).
-    pub fn transition(&self) -> &BitMatrix {
-        &self.transition
+    /// The LFSR transition `T` the table was built from, in sparse
+    /// form: `transition_rows()[i]` lists the cells whose values XOR
+    /// into cell `i` one clock later (`expr(t+1, c) = expr(t, c) * T`).
+    pub fn transition_rows(&self) -> &[Vec<u32>] {
+        &self.transition_rows
+    }
+
+    /// The phase-shifter taps the table was built from:
+    /// `shifter_taps()[c]` lists chain `c`'s cells, which are also the
+    /// ones of row `expr(0, c)`.
+    pub fn shifter_taps(&self) -> &[Vec<u32>] {
+        &self.shifter_taps
     }
 
     /// Number of scan chains (rows per cycle).

@@ -16,12 +16,14 @@
 //!   `m` scan-chain inputs with linearly independent tap sets.
 //! * [`ExpressionStream`] — symbolic simulation: the linear expressions
 //!   of every cell/output over the initial seed variables, advanced one
-//!   cycle at a time (the machinery behind seed computation).
+//!   cycle at a time (the reference for the seed-computation tables).
 //! * [`PackedLfsrStream`] — 64-lane bit-sliced concrete simulation:
-//!   [`Lfsr::stream_packed`] runs up to 64 phase-offset copies of one
-//!   LFSR per word, and [`PhaseShifter::outputs_packed`] emits a whole
-//!   `u64` of scan-chain bits per chain per clock (the generation side
-//!   of the packed fault-simulation path).
+//!   up to 64 copies of one LFSR per word, loaded with explicit states
+//!   ([`PackedLfsrStream::from_states`]) or phase-offset along one
+//!   sequence ([`Lfsr::stream_packed`]), while
+//!   [`PhaseShifter::outputs_packed`] emits a whole `u64` of scan-chain
+//!   bits per chain per clock. Unit-seed lanes yield the expression
+//!   rows themselves; seed lanes yield 64 windows at once.
 //! * [`XorNetwork`] — multi-output XOR synthesis with greedy common
 //!   subexpression extraction, plus [`CostModel`] gate-equivalent
 //!   accounting (how the paper's overhead numbers are estimated).

@@ -14,22 +14,33 @@
 //! With `stride = r` (the scan depth), the 64 lanes are exactly 64
 //! consecutive window positions of one seed, which is how
 //! `ss-core` packs a window into [`ss_gf2::PackedPatterns`] blocks.
+//! Lanes can also hold unrelated registers
+//! ([`PackedLfsrStream::from_states`]): `ss-core` clocks 64 seeds side
+//! by side to match cubes, and the unit seeds `e_v` to build its
+//! expression table (lane `v` at cycle `t` is column `v` of `T^t`).
 //!
 //! [`step`]: PackedLfsrStream::step
 
-use ss_gf2::{BitMatrix, BitVec};
+use std::borrow::Borrow;
+
+use ss_gf2::BitVec;
 
 use crate::{Lfsr, LfsrKind, PhaseShifter};
 
-/// Up to 64 copies of one LFSR, phase-offset by a fixed stride and
-/// stepped together bit-sliced (lane `v` lives in bit `v` of every
-/// state word).
+/// Up to 64 copies of one LFSR stepped together bit-sliced (lane `v`
+/// lives in bit `v` of every state word).
 ///
-/// Lane initialisation uses the transition-matrix power `T^stride`
-/// (one [`BitMatrix::pow`](ss_gf2::BitMatrix::pow) plus one
-/// matrix-vector product per lane) instead of `stride` scalar
-/// [`Lfsr::step`]s per lane, so wide strides cost `O(n^3 log stride)`
-/// setup rather than `O(lanes * stride * n)` stepping.
+/// Lanes hold explicit states ([`from_states`]) or copies of one
+/// sequence a fixed stride apart. For the latter, [`new`] reaches the
+/// lane starts with the transition-matrix power `T^stride` (one
+/// [`BitMatrix::pow`](ss_gf2::BitMatrix::pow) plus one matrix-vector
+/// product per lane), so wide strides cost `O(n^3 log stride)` setup
+/// rather than `O(lanes * stride * n)` stepping; [`from_walk`] steps
+/// a scalar register instead, which wins at short strides.
+///
+/// [`from_states`]: PackedLfsrStream::from_states
+/// [`new`]: PackedLfsrStream::new
+/// [`from_walk`]: PackedLfsrStream::from_walk
 ///
 /// # Example
 ///
@@ -72,50 +83,18 @@ impl PackedLfsrStream {
     /// Panics if `seed.len() != lfsr.size()` or `lanes` is outside
     /// `1..=64`.
     pub fn new(lfsr: &Lfsr, seed: &BitVec, stride: u64, lanes: usize) -> Self {
+        assert_eq!(seed.len(), lfsr.size(), "seed width mismatch");
         // one matrix power + (lanes - 1) matrix-vector products, not
         // lanes * stride scalar steps
-        PackedLfsrStream::with_jump(lfsr, seed, &lfsr.transition_matrix().pow(stride), lanes)
-    }
-
-    /// Like [`new`](PackedLfsrStream::new) with a precomputed lane
-    /// jump matrix (`jump = T^stride`): lane `v` holds `jump^v * seed`.
-    /// Callers that expand many seeds against one piece of hardware
-    /// compute the power once and amortise it across every stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seed.len() != lfsr.size()`, `jump` is not
-    /// `size x size`, or `lanes` is outside `1..=64`.
-    pub fn with_jump(lfsr: &Lfsr, seed: &BitVec, jump: &BitMatrix, lanes: usize) -> Self {
-        assert_eq!(seed.len(), lfsr.size(), "seed width mismatch");
-        assert!(
-            jump.row_count() == lfsr.size() && jump.col_count() == lfsr.size(),
-            "jump matrix must be {n} x {n}",
-            n = lfsr.size()
-        );
-        assert!(
-            (1..=64).contains(&lanes),
-            "lane count {lanes} outside 1..=64"
-        );
-        let n = lfsr.size();
-        let mut slices = vec![0u64; n];
+        let jump = lfsr.transition_matrix().pow(stride);
         let mut state = seed.clone();
-        for lane in 0..lanes {
+        let states = (0..lanes).map(|lane| {
             if lane > 0 {
                 state = jump.mul_vec(&state);
             }
-            for i in state.iter_ones() {
-                slices[i] |= 1u64 << lane;
-            }
-        }
-        let taps = lfsr.tap_indices();
-        PackedLfsrStream {
-            kind: lfsr.kind(),
-            taps,
-            slices,
-            lanes,
-            cycle: 0,
-        }
+            state.clone()
+        });
+        PackedLfsrStream::from_states(lfsr, states)
     }
 
     /// Creates the same stream as [`new`](PackedLfsrStream::new) by
@@ -130,23 +109,48 @@ impl PackedLfsrStream {
     /// Panics if `seed.len() != lfsr.size()` or `lanes` is outside
     /// `1..=64`.
     pub fn from_walk(lfsr: &Lfsr, seed: &BitVec, stride: u64, lanes: usize) -> Self {
-        assert_eq!(seed.len(), lfsr.size(), "seed width mismatch");
-        assert!(
-            (1..=64).contains(&lanes),
-            "lane count {lanes} outside 1..=64"
-        );
-        let n = lfsr.size();
-        let mut slices = vec![0u64; n];
         let mut walker = lfsr.clone();
         walker.load(seed);
-        for lane in 0..lanes {
-            for i in walker.state().iter_ones() {
-                slices[i] |= 1u64 << lane;
-            }
-            if lane + 1 < lanes {
+        let states = (0..lanes).map(|lane| {
+            if lane > 0 {
                 walker.step_by(stride);
             }
+            walker.state().clone()
+        });
+        PackedLfsrStream::from_states(lfsr, states)
+    }
+
+    /// Creates a stream that loads one explicit state per lane: lane
+    /// `v` holds the `v`-th item of `states`. This is the constructor
+    /// every other one funnels into, and the one that clocks unrelated
+    /// registers side by side — 64 seeds of an encoding, or the unit
+    /// seeds `e_v`, whose lanes trace columns of `T^t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state's width differs from `lfsr.size()` or the
+    /// number of states is outside `1..=64`.
+    pub fn from_states<I>(lfsr: &Lfsr, states: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<BitVec>,
+    {
+        let mut slices = vec![0u64; lfsr.size()];
+        let mut lanes = 0;
+        for state in states {
+            let state = state.borrow();
+            assert_eq!(state.len(), lfsr.size(), "seed width mismatch");
+            assert!(lanes < 64, "lane count {} outside 1..=64", lanes + 1);
+            for (w, &word) in state.as_words().iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    slices[w * 64 + rest.trailing_zeros() as usize] |= 1 << lanes;
+                    rest &= rest - 1;
+                }
+            }
+            lanes += 1;
         }
+        assert!(lanes > 0, "lane count 0 outside 1..=64");
         PackedLfsrStream {
             kind: lfsr.kind(),
             taps: lfsr.tap_indices(),
@@ -264,13 +268,20 @@ impl PhaseShifter {
             "bit-sliced state width mismatch"
         );
         out.clear();
-        out.extend(self.rows().iter_rows().map(|row| {
-            let mut acc = 0u64;
-            for cell in row.iter_ones() {
-                acc ^= slices[cell];
-            }
-            acc
-        }));
+        out.extend((0..self.output_count()).map(|j| self.output_packed(slices, j)));
+    }
+
+    /// Output `j` alone for a bit-sliced LFSR state: the XOR of the
+    /// slices at the output's [`tap_lists`](PhaseShifter::tap_lists)
+    /// cells, lane `v` in bit `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= output_count()` or a tap lies outside `slices`.
+    pub fn output_packed(&self, slices: &[u64], j: usize) -> u64 {
+        self.tap_lists()[j]
+            .iter()
+            .fold(0, |acc, &cell| acc ^ slices[cell as usize])
     }
 }
 
@@ -329,6 +340,9 @@ mod tests {
         for _ in 0..20 {
             let words = shifter.outputs_packed(stream.slices());
             assert_eq!(words.len(), 8);
+            for (c, &word) in words.iter().enumerate() {
+                assert_eq!(shifter.output_packed(stream.slices(), c), word, "chain {c}");
+            }
             for lane in 0..64 {
                 let outs = shifter.outputs(&stream.lane_state(lane));
                 for (c, &word) in words.iter().enumerate() {
@@ -357,6 +371,38 @@ mod tests {
                     jumped.slices(),
                     "{kind} stride {stride} lanes {lanes}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn from_states_loads_each_lane_and_clocks_like_the_scalar_register() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            for (n, lanes) in [(9usize, 1usize), (65, 64), (130, 33)] {
+                let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
+                let seeds: Vec<BitVec> = (0..lanes).map(|_| BitVec::random(n, &mut rng)).collect();
+                let mut stream = PackedLfsrStream::from_states(&lfsr, &seeds);
+                assert_eq!(stream.lanes(), lanes);
+                let mut scalars: Vec<Lfsr> = seeds
+                    .iter()
+                    .map(|seed| {
+                        let mut scalar = lfsr.clone();
+                        scalar.load(seed);
+                        scalar
+                    })
+                    .collect();
+                for step in 0..20 {
+                    for (lane, scalar) in scalars.iter_mut().enumerate() {
+                        assert_eq!(
+                            stream.lane_state(lane),
+                            *scalar.state(),
+                            "{kind} n={n} lane {lane} step {step}"
+                        );
+                        scalar.step();
+                    }
+                    stream.step();
+                }
             }
         }
     }

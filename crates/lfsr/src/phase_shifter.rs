@@ -78,6 +78,9 @@ impl Error for PhaseShifterError {}
 #[derive(Debug, Clone)]
 pub struct PhaseShifter {
     rows: BitMatrix, // m x n
+    /// `taps[j]` = the ones of row `j`, ascending: the sparse form
+    /// every bit-sliced evaluation walks, derived once here.
+    taps: Vec<Vec<u32>>,
 }
 
 impl PhaseShifter {
@@ -146,22 +149,22 @@ impl PhaseShifter {
             spanned.insert(candidate.clone());
             rows.push(candidate);
         }
-        Ok(PhaseShifter {
-            rows: BitMatrix::from_rows(rows),
-        })
+        Ok(PhaseShifter::from_rows(BitMatrix::from_rows(rows)))
     }
 
     /// The identity shifter: output `j` is cell `j` directly (no XORs).
     /// Useful for single-scan-chain setups and tests.
     pub fn identity(cells: usize) -> Self {
-        PhaseShifter {
-            rows: BitMatrix::identity(cells),
-        }
+        PhaseShifter::from_rows(BitMatrix::identity(cells))
     }
 
     /// Builds a shifter from explicit tap rows (`m x n`).
     pub fn from_rows(rows: BitMatrix) -> Self {
-        PhaseShifter { rows }
+        let taps = rows
+            .iter_rows()
+            .map(|row| row.iter_ones().map(|cell| cell as u32).collect())
+            .collect();
+        PhaseShifter { rows, taps }
     }
 
     /// Number of scan-chain outputs `m`.
@@ -180,7 +183,14 @@ impl PhaseShifter {
     ///
     /// Panics if `j` is out of range.
     pub fn taps(&self, j: usize) -> Vec<usize> {
-        self.rows.row(j).iter_ones().collect()
+        self.taps[j].iter().map(|&cell| cell as usize).collect()
+    }
+
+    /// Tap cells of every output, ascending (`tap_lists()[j]` lists
+    /// output `j`'s cells): the sparse form the bit-sliced kernels
+    /// XOR over, computed once at construction.
+    pub fn tap_lists(&self) -> &[Vec<u32>] {
+        &self.taps
     }
 
     /// The tap matrix (`m x n`).

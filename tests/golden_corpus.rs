@@ -3,6 +3,10 @@
 //! reproduce the checked-in numbers in `tests/golden/corpus.txt`
 //! exactly — seed counts, TDV, TSL before/after State Skip, and (for
 //! file workloads) the stuck-at coverage of the applied sequence.
+//! Each run is also clocked through the cycle-accurate `Decompressor`,
+//! an oracle independent of the TSL accounting: its vector and clock
+//! counts must equal the report's, and its applied sequence must
+//! contain every encoded cube.
 //!
 //! Golden values are deliberately exact, not toleranced: the whole
 //! flow is deterministic, so any drift is a behaviour change that must
@@ -26,7 +30,7 @@ use std::path::PathBuf;
 
 use ss_core::{
     comparison_table, parse_workload, sequence_coverage, Baseline11, ClassicalReseeding,
-    CompressionScheme, Engine, StateSkip,
+    CompressionScheme, Decompressor, Engine, StateSkip,
 };
 use ss_testdata::{TestSet, Workload, WorkloadRegistry};
 
@@ -115,12 +119,41 @@ fn measure(w: &Workload) -> GoldenRow {
         w.name
     );
 
+    // independent oracle: the cycle-accurate decompressor, clocked
+    // over the chosen seeds and segment plan, must realise exactly the
+    // accounted TSL and apply every encoded cube
+    let ctx = engine.synthesize(&encodable).expect("synthesis succeeds");
+    let mut decompressor = Decompressor::new(
+        ctx.lfsr().clone(),
+        report.speedup,
+        ctx.shifter().clone(),
+        encodable.config(),
+        report.mode_select.clone(),
+    );
+    let trace = decompressor.run(&report.encoding, &report.plan);
+    assert_eq!(trace.tsl(), report.tsl_proposed, "{}: clocked TSL", w.name);
+    assert_eq!(
+        trace.clocks, report.tsl_report.total_clocks,
+        "{}: clocked cycles",
+        w.name
+    );
+    assert_eq!(
+        trace.useful_vectors.len() as u64,
+        report.tsl_report.useful_vectors,
+        "{}: useful vectors",
+        w.name
+    );
+    assert!(
+        trace.covers(&encodable),
+        "{}: the clocked sequence misses an encoded cube",
+        w.name
+    );
+
     let coverage_bp = match w.bench_text() {
         None => -1,
         Some(bench) => {
             let loaded = parse_workload(bench, w.cubes_text().unwrap())
                 .unwrap_or_else(|e| panic!("{}: corpus pair invalid: {e}", w.name));
-            let ctx = engine.synthesize(&encodable).expect("synthesis succeeds");
             let cov = sequence_coverage(&loaded.circuit.netlist, &ctx, &report)
                 .unwrap_or_else(|e| panic!("{}: coverage failed: {e}", w.name));
             (cov.applied_coverage * 10_000.0).round() as i64

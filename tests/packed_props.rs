@@ -1,28 +1,35 @@
 //! Property tests pinning the packed (64-lane word-parallel) paths
 //! against their scalar reference oracles, bit for bit: fault
-//! simulation coverage, seed-window expansion, and the
-//! embedding-map/TSL measurements the paper's tables are built from.
-//! The embedding map's table-driven, 64-seed-sliced build is checked
-//! against the LFSR-stepping scalar oracle on every registry workload,
-//! both LFSR structures, and the 64-seed block edges.
+//! simulation coverage, seed-window expansion, the expression table,
+//! and the embedding-map/TSL measurements the paper's tables are built
+//! from. The expression table's unit-seed-lane build is checked word
+//! for word against the `ExpressionStream` reference over one to three
+//! lane passes and on every registry workload. The embedding map's
+//! seed-lane build is checked against the LFSR-stepping scalar oracle
+//! on every registry workload, both LFSR structures, the 64-seed block
+//! edges and an LFSR wider than two words.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use ss_circuit::{random_circuit, CircuitSpec, FaultList, FaultSimulator};
 use ss_core::{
     try_expand_seed, try_expand_seed_packed, EmbeddingMap, Encoded, EncodingResult, Engine,
-    HardwareCtx, SegmentPlan,
+    ExprTable, HardwareCtx, SegmentPlan,
 };
-use ss_gf2::{BitVec, PackedPatterns};
-use ss_lfsr::LfsrKind;
-use ss_testdata::{generate_test_set, CubeProfile, TestCube, TestSet, WorkloadRegistry};
+use ss_gf2::{primitive_poly, BitVec, PackedPatterns};
+use ss_lfsr::{Lfsr, LfsrKind, PhaseShifter};
+use ss_testdata::{
+    generate_test_set, CubeProfile, ScanConfig, TestCube, TestSet, WorkloadRegistry,
+};
 
-/// Asserts the table-driven map equals the scalar oracle at every
-/// tested thread count, including more workers than seed blocks.
-fn assert_table_build_is_the_oracle(set: &TestSet, result: &EncodingResult, ctx: &HardwareCtx) {
+/// Asserts the seed-lane map equals the scalar oracle at every tested
+/// thread count, including more workers than seed blocks.
+fn assert_lane_build_is_the_oracle(set: &TestSet, result: &EncodingResult, ctx: &HardwareCtx) {
     let oracle = EmbeddingMap::build_scalar(set, result, ctx.lfsr(), ctx.shifter());
     for threads in [1usize, 2, 3, 64] {
-        let map = EmbeddingMap::build_threaded(set, result, ctx.table(), threads);
+        let map = EmbeddingMap::build_threaded(set, result, ctx.lfsr(), ctx.shifter(), threads);
         assert_eq!(
             map,
             oracle,
@@ -31,6 +38,15 @@ fn assert_table_build_is_the_oracle(set: &TestSet, result: &EncodingResult, ctx:
             result.window
         );
     }
+}
+
+/// Asserts the context's table (the lanes build) equals the
+/// `ExpressionStream` reference word for word.
+fn assert_table_is_the_reference(ctx: &HardwareCtx, label: &str) {
+    let table = ctx.table();
+    let reference =
+        ExprTable::build_reference(ctx.lfsr(), ctx.shifter(), table.scan(), table.window());
+    assert!(*table == reference, "{label}: lanes table diverged");
 }
 
 /// Synthesises `set`'s hardware and encodes its encodable subset, the
@@ -45,50 +61,108 @@ fn encode(set: &TestSet, engine: &Engine) -> (TestSet, HardwareCtx, EncodingResu
     (encodable, ctx, result)
 }
 
+/// The registry workloads at the golden corpus knobs and scale, plus
+/// the churn-fleet profile (s9234 at scale 0.1), for one LFSR kind.
+fn registry_engines(kind: LfsrKind) -> Vec<(String, TestSet, Engine)> {
+    let builder = || {
+        Engine::builder()
+            .window(24)
+            .segment(4)
+            .speedup(6)
+            .lfsr_kind(kind)
+    };
+    let mut inputs: Vec<(String, TestSet, Engine)> = WorkloadRegistry::all()
+        .iter()
+        .map(|workload| match workload.profile() {
+            Some(profile) => (
+                workload.name.to_string(),
+                workload.test_set_scaled(0.1),
+                builder().lfsr_size(profile.lfsr_size).build().unwrap(),
+            ),
+            None => (
+                workload.name.to_string(),
+                workload.test_set(),
+                builder().build().unwrap(),
+            ),
+        })
+        .collect();
+    let churn = CubeProfile::s9234().scaled(0.1);
+    inputs.push((
+        "churn-s9234".to_string(),
+        generate_test_set(&churn, 1),
+        builder().lfsr_size(churn.lfsr_size).build().unwrap(),
+    ));
+    inputs
+}
+
 #[test]
-fn table_embedding_equals_the_scalar_oracle_on_every_registry_workload() {
-    for workload in WorkloadRegistry::all() {
-        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
-            let mut builder = Engine::builder()
-                .window(24)
-                .segment(4)
-                .speedup(6)
-                .lfsr_kind(kind);
-            let set = match workload.profile() {
-                Some(profile) => {
-                    builder = builder.lfsr_size(profile.lfsr_size);
-                    workload.test_set_scaled(0.1)
+fn lane_table_equals_the_expression_stream_reference_across_lane_passes() {
+    let scan = ScanConfig::new(12, 5).unwrap();
+    let mut rng = SmallRng::seed_from_u64(15);
+    for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+        for n in [63usize, 64, 65, 128, 129, 168] {
+            let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
+            for taps in 1..=5 {
+                let shifter = PhaseShifter::synthesize(n, scan.chains(), taps, &mut rng).unwrap();
+                for window in [1usize, 70] {
+                    let table = ExprTable::build(&lfsr, &shifter, scan, window);
+                    let reference = ExprTable::build_reference(&lfsr, &shifter, scan, window);
+                    assert!(
+                        table == reference,
+                        "{kind} n={n} taps={taps} L={window}: lanes table diverged"
+                    );
                 }
-                None => workload.test_set(),
-            };
-            let (set, ctx, result) = encode(&set, &builder.build().unwrap());
-            assert_table_build_is_the_oracle(&set, &result, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_table_equals_the_expression_stream_reference_on_every_registry_workload() {
+    for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+        for (name, set, engine) in registry_engines(kind) {
+            let ctx = engine.synthesize(&set).unwrap();
+            assert_table_is_the_reference(&ctx, &format!("{name} {kind}"));
+        }
+    }
+}
+
+#[test]
+fn lane_embedding_equals_the_scalar_oracle_on_every_registry_workload() {
+    for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+        for (_, set, engine) in registry_engines(kind) {
+            let (set, ctx, result) = encode(&set, &engine);
+            assert_lane_build_is_the_oracle(&set, &result, &ctx);
         }
     }
 }
 
 /// Seed counts on both sides of the 64-seed block edges, a window
-/// longer than 64 positions, and an all-X cube that embeds everywhere.
+/// longer than 64 positions, an all-X cube that embeds everywhere, and
+/// an LFSR wider than two words.
 #[test]
-fn table_embedding_equals_the_scalar_oracle_at_block_edges() {
+fn lane_embedding_equals_the_scalar_oracle_at_block_edges() {
     let mut set = generate_test_set(&CubeProfile::mini(), 7);
     set.push(TestCube::all_x(set.config().cells())).unwrap();
     for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
-        let engine = Engine::builder()
-            .window(70)
-            .segment(5)
-            .lfsr_kind(kind)
-            .build()
-            .unwrap();
-        let (set, ctx, encoded) = encode(&set, &engine);
-        for count in [63usize, 64, 65, 129] {
-            // the real seeds, cycled to exactly `count`
-            let mut result = encoded.clone();
-            result.seeds = encoded.seeds.iter().cycle().take(count).cloned().collect();
-            assert_table_build_is_the_oracle(&set, &result, &ctx);
-            let map = EmbeddingMap::build(&set, &result, ctx.table());
-            assert!(map.validate());
-            assert_eq!(map.matches(set.len() - 1).len(), count * 70, "all-X cube");
+        for lfsr_size in [None, Some(150)] {
+            let mut builder = Engine::builder().window(70).segment(5).lfsr_kind(kind);
+            if let Some(n) = lfsr_size {
+                builder = builder.lfsr_size(n);
+            }
+            let (set, ctx, encoded) = encode(&set, &builder.build().unwrap());
+            if let Some(n) = lfsr_size {
+                assert_eq!(ctx.lfsr_size(), n);
+            }
+            for count in [63usize, 64, 65, 129] {
+                // the real seeds, cycled to exactly `count`
+                let mut result = encoded.clone();
+                result.seeds = encoded.seeds.iter().cycle().take(count).cloned().collect();
+                assert_lane_build_is_the_oracle(&set, &result, &ctx);
+                let map = EmbeddingMap::build(&set, &result, ctx.lfsr(), ctx.shifter());
+                assert!(map.validate());
+                assert_eq!(map.matches(set.len() - 1).len(), count * 70, "all-X cube");
+            }
         }
     }
 }
