@@ -3,7 +3,9 @@
 //! registry workload.
 //!
 //! Three measurements per workload, all over the same hardware context
-//! at the golden-conformance knobs (`L=24, S=4, k=6`):
+//! at the golden-conformance knobs (`L=24, S=4, k=6`), plus one row at
+//! the paper's Table 4 setting (s9234 at full size, `L=200`), where
+//! full-rank seeds are matched across four 64-position blocks:
 //!
 //! * **reference** — [`WindowEncoder::encode_reference`], the
 //!   pre-overhaul search (re-eliminates every candidate system from
@@ -35,6 +37,8 @@ const WINDOW: usize = 24;
 const SEGMENT: usize = 4;
 const SPEEDUP: u64 = 6;
 const PAR_THREADS: usize = 4;
+/// The paper-setting row: workload, scale and window.
+const PAPER_ROW: (&str, f64, usize) = ("s9234", 1.0, 200);
 
 /// Seconds per call, adaptively: a single measured call when the
 /// closure is slow (the reference search on the big profiles), more
@@ -61,6 +65,8 @@ fn time_adaptive<T>(mut f: impl FnMut() -> T) -> f64 {
 
 struct Row {
     name: String,
+    scale: f64,
+    window: usize,
     cubes: usize,
     seeds: usize,
     reference_s: f64,
@@ -78,20 +84,20 @@ impl Row {
     }
 }
 
-/// The workload's test set at the bench scale (profiles honour
-/// `SS_SCALE`; file workloads are small and run full size).
-fn bench_set(w: &Workload) -> TestSet {
+/// The workload's test set at `scale` (file workloads are small and
+/// run full size).
+fn bench_set(w: &Workload, scale: f64) -> TestSet {
     if w.profile().is_some() {
-        w.test_set_scaled(ss_bench::scale())
+        w.test_set_scaled(scale)
     } else {
         w.test_set()
     }
 }
 
-fn measure(w: &Workload) -> Row {
-    let set = bench_set(w);
+fn measure(w: &Workload, scale: f64, window: usize) -> Row {
+    let set = bench_set(w, scale);
     let mut builder = Engine::builder()
-        .window(WINDOW)
+        .window(window)
         .segment(SEGMENT)
         .speedup(SPEEDUP);
     if let Some(profile) = w.profile() {
@@ -133,6 +139,8 @@ fn measure(w: &Workload) -> Row {
 
     Row {
         name: w.name.to_string(),
+        scale,
+        window,
         cubes: set.len(),
         seeds: reference.seeds.len(),
         reference_s,
@@ -148,8 +156,10 @@ fn write_json(rows: &[Row]) {
             entries.push_str(",\n");
         }
         entries.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cubes\": {}, \"seeds\": {}, \"reference_s\": {:.6e}, \"cached_1t_s\": {:.6e}, \"cached_{}t_s\": {:.6e}, \"speedup_1t\": {:.2}, \"speedup_{}t\": {:.2}}}",
+            "    {{\"name\": \"{}\", \"scale\": {}, \"window\": {}, \"cubes\": {}, \"seeds\": {}, \"reference_s\": {:.6e}, \"cached_1t_s\": {:.6e}, \"cached_{}t_s\": {:.6e}, \"speedup_1t\": {:.2}, \"speedup_{}t\": {:.2}}}",
             row.name,
+            row.scale,
+            row.window,
             row.cubes,
             row.seeds,
             row.reference_s,
@@ -163,7 +173,7 @@ fn write_json(rows: &[Row]) {
     }
     let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"bench\": \"encode_scaling\",\n  \"command\": \"cargo bench -p ss-bench --bench encode_scaling\",\n  \"engine\": \"L={} S={} k={}\",\n  \"ss_scale\": {},\n  \"available_parallelism\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"encode_scaling\",\n  \"command\": \"cargo bench -p ss-bench --bench encode_scaling\",\n  \"engine\": \"L={} S={} k={} (per-row window overrides L)\",\n  \"ss_scale\": {},\n  \"available_parallelism\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         WINDOW,
         SEGMENT,
         SPEEDUP,
@@ -179,10 +189,18 @@ fn write_json(rows: &[Row]) {
 fn bench_encode_scaling(c: &mut Criterion) {
     ss_bench::banner("encode scaling: residue-cached + parallel search vs reference");
 
-    let rows: Vec<Row> = WorkloadRegistry::all().iter().map(measure).collect();
+    let mut rows: Vec<Row> = WorkloadRegistry::all()
+        .iter()
+        .map(|w| measure(w, ss_bench::scale(), WINDOW))
+        .collect();
+    let (name, scale, window) = PAPER_ROW;
+    let paper = WorkloadRegistry::find(name).expect("registry entry");
+    rows.push(measure(paper, scale, window));
 
     let mut table = Table::new([
         "workload".to_string(),
+        "scale".to_string(),
+        "L".to_string(),
         "cubes".to_string(),
         "seeds".to_string(),
         "reference".to_string(),
@@ -194,6 +212,8 @@ fn bench_encode_scaling(c: &mut Criterion) {
     for row in &rows {
         table.add_row([
             row.name.clone(),
+            row.scale.to_string(),
+            row.window.to_string(),
             row.cubes.to_string(),
             row.seeds.to_string(),
             format!("{:.3} ms", row.reference_s * 1e3),

@@ -10,8 +10,8 @@
 //! Pentium; a full five-circuit sweep here is likewise minutes of CPU.
 //! To keep `cargo bench` snappy the harness scales the synthetic test
 //! sets by `SS_SCALE` (default 0.25 — a quarter of the profile's cube
-//! count). Set `SS_SCALE=1` for full-size runs; `EXPERIMENTS.md`
-//! records which scale produced the committed numbers. Scaling shrinks
+//! count). Set `SS_SCALE=1` for full-size runs; each committed
+//! `BENCH_*.json` records the scale that produced it (`ss_scale`). Scaling shrinks
 //! seed counts roughly proportionally but leaves every *trend* (who
 //! wins, how results move with k, S and L) intact.
 
@@ -150,7 +150,7 @@ pub fn best_reduction(
 pub fn banner(what: &str) {
     println!("=== {what} ===");
     println!(
-        "workload: synthetic profiles at SS_SCALE={} (see DESIGN.md substitutions; SS_SCALE=1 for full size)",
+        "workload: synthetic profiles at SS_SCALE={} (SS_SCALE=1 for full size)",
         scale()
     );
     println!();

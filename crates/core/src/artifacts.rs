@@ -43,9 +43,8 @@ use crate::segments::{SegmentPlan, TslReport};
 #[derive(Debug, Clone)]
 pub struct HardwareCtx {
     config: EngineConfig,
-    scan: ScanConfig,
-    lfsr: Lfsr,
-    shifter: PhaseShifter,
+    /// Also carries the LFSR, phase shifter and scan geometry it was
+    /// built from.
     table: ExprTable,
 }
 
@@ -78,9 +77,6 @@ impl HardwareCtx {
         let table = ExprTable::build(&lfsr, &shifter, set.config(), config.window);
         Ok(HardwareCtx {
             config: *config,
-            scan: set.config(),
-            lfsr,
-            shifter,
             table,
         })
     }
@@ -126,13 +122,7 @@ impl HardwareCtx {
             }
         }
         let table = ExprTable::build(&lfsr, &shifter, scan, config.window);
-        Ok(HardwareCtx {
-            config,
-            scan,
-            lfsr,
-            shifter,
-            table,
-        })
+        Ok(HardwareCtx { config, table })
     }
 
     /// The engine configuration this hardware was synthesised for.
@@ -142,17 +132,17 @@ impl HardwareCtx {
 
     /// The scan geometry of the bound test set.
     pub fn scan(&self) -> ScanConfig {
-        self.scan
+        self.table.scan()
     }
 
     /// The synthesised LFSR.
     pub fn lfsr(&self) -> &Lfsr {
-        &self.lfsr
+        self.table.lfsr()
     }
 
     /// The synthesised phase shifter.
     pub fn shifter(&self) -> &PhaseShifter {
-        &self.shifter
+        self.table.shifter()
     }
 
     /// The precomputed expression table (window length
@@ -163,7 +153,7 @@ impl HardwareCtx {
 
     /// The LFSR size `n`.
     pub fn lfsr_size(&self) -> usize {
-        self.lfsr.size()
+        self.table.vars()
     }
 
     /// Splits `set` into the cubes this hardware can encode and the
@@ -178,7 +168,7 @@ impl HardwareCtx {
     /// cube) triple; the paper's real test sets simply did not contain
     /// such cubes at the chosen LFSR sizes, and a DFT engineer hitting
     /// one would bump `n`. Benches use this filter to emulate the
-    /// former; see `EXPERIMENTS.md`.
+    /// former.
     pub fn encodable_subset(&self, set: &TestSet) -> (TestSet, Vec<usize>) {
         let mut keep = TestSet::new(set.config());
         let mut dropped = Vec::new();

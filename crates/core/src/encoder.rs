@@ -37,12 +37,12 @@
 //!   `f = n - rank` — tiny, because the first (largest) cube consumed
 //!   most of the rank. Probing happens entirely in that `f`-bit
 //!   coordinate frame instead of the `n`-bit ambient space.
-//! * **A streamed projected expression table.** Expression-table row
-//!   `t+1` is row `t` advanced by the LFSR transition matrix
-//!   ([`ExprTable::transition_rows`]), so the whole table's
-//!   projection into the frame is *streamed* once per seed — `O(n)`
-//!   words per cycle — rather than projected row by row. One probed
-//!   equation then costs one table lookup.
+//! * **A projected expression table, clocked in hardware form.** The
+//!   seed's table is the decompressor itself clocked once bit-sliced
+//!   ([`PackedLfsrStream`]) with the frame as lanes, `N_j` in lane `j`
+//!   and `x0` in lane 63, so each chain output word is a table row
+//!   already projected into the frame. One probed equation then costs
+//!   one table lookup.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
 //!   projected system. Later rounds do not re-eliminate it: committed
@@ -81,6 +81,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ss_gf2::{words, AffineSpace, BitVec, IncrementalSolver, SolveOutcome};
+use ss_lfsr::PackedLfsrStream;
 use ss_testdata::TestSet;
 
 use crate::expr_table::ExprTable;
@@ -404,12 +405,58 @@ impl FastElim {
     }
 }
 
+/// Clocks the hardware once with a seed's probing frame as lanes:
+/// lane `j < dim` holds the null-space basis vector `N_j` and lane 63
+/// the particular solution `x0`. Lane `j` at cycle `t` is `T^t·N_j`,
+/// so chain `c`'s output word on cycle `t` is expression-table row
+/// `(t, c)` projected into the frame, already packed as
+/// `projection | rhs << 63` (coordinate `j` in bit `j`, the row's
+/// value at `x0` in bit 63). Calls `emit` once per table row, in row
+/// order.
+fn project_table(space: &AffineSpace, table: &ExprTable, mut emit: impl FnMut(u64)) {
+    debug_assert!(space.dim() <= FixedEngine::MAX_DIM);
+    let mut slices = vec![0u64; space.vars()];
+    let lanes = (0..space.dim())
+        .map(|j| (j, space.null_row(j)))
+        .chain([(63, space.x0_words())]);
+    for (lane, row) in lanes {
+        for (wi, &word) in row.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                slices[wi * 64 + word.trailing_zeros() as usize] |= 1u64 << lane;
+                word &= word - 1;
+            }
+        }
+    }
+    let mut stream = PackedLfsrStream::from_slices(table.lfsr(), slices, 64);
+    for t in 0..table.cycles() {
+        if t > 0 {
+            stream.step();
+        }
+        for c in 0..table.chains() {
+            emit(table.shifter().output_packed(stream.slices(), c));
+        }
+    }
+}
+
+/// `PARITY_LOW6[m]` bit `k` is the parity of `m & k`: the truth table
+/// of the linear form with coefficients `m` over all 64 settings of
+/// six coordinates.
+const PARITY_LOW6: [u64; 64] = {
+    let (mut table, mut i) = ([0u64; 64], 0);
+    while i < 64 * 64 {
+        table[i / 64] |= (((i / 64) & i).count_ones() as u64 & 1) << (i % 64);
+        i += 1;
+    }
+    table
+};
+
 /// Truth-table probing engine for free spaces of dimension
 /// `<= MAX_DIM`: the space holds at most `2^10` candidate seeds, so
 /// every expression-table row is materialised as the **truth table**
-/// of its output over all of them (streamed once via the transition
-/// matrix). A candidate system's cached residue is simply the *mask
-/// of seeds that satisfy it*:
+/// of its output over all of them (expanded from the one-pass packed
+/// projection). A candidate system's cached residue is simply the
+/// *mask of seeds that satisfy it*:
 ///
 /// * probing one equation = one word-AND with the row's truth table;
 /// * the committed basis is one global constraint mask `C` (each
@@ -445,87 +492,24 @@ impl TtEngine {
         let dim = space.dim();
         debug_assert!(dim <= Self::MAX_DIM);
         let w0 = ((1usize << dim) / 64).max(1);
-        let n = space.vars();
-        let chains = table.chains();
-        let cycles = table.cycles();
         let mut ones = vec![!0u64; w0];
         if dim < 6 {
             ones[0] = (1u64 << (1usize << dim)) - 1;
         }
-        // truth table of coordinate bit y_j over all y
-        const PAT: [u64; 6] = [
-            0xAAAA_AAAA_AAAA_AAAA,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0xF0F0_F0F0_F0F0_F0F0,
-            0xFF00_FF00_FF00_FF00,
-            0xFFFF_0000_FFFF_0000,
-            0xFFFF_FFFF_0000_0000,
-        ];
-        let var_mask = |j: usize, m: &mut [u64]| {
-            if j < 6 {
-                m.fill(PAT[j]);
-            } else {
-                for (wi, w) in m.iter_mut().enumerate() {
-                    *w = if (wi >> (j - 6)) & 1 == 1 { !0 } else { 0 };
-                }
-            }
-            for (a, b) in m.iter_mut().zip(&ones) {
-                *a &= *b;
-            }
-        };
-        // TT[i] = truth table of ambient variable i over x0 + N y
-        let mut tt = vec![0u64; n * w0];
-        let mut vm = vec![0u64; w0];
-        for j in 0..dim {
-            var_mask(j, &mut vm);
-            for (wi, &word) in space.null_row(j).iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let i = wi * 64 + word.trailing_zeros() as usize;
-                    words::xor_in(&mut tt[i * w0..(i + 1) * w0], &vm);
-                    word &= word - 1;
-                }
-            }
-        }
-        for (wi, &word) in space.x0_words().iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let i = wi * 64 + word.trailing_zeros() as usize;
-                let row = &mut tt[i * w0..(i + 1) * w0];
-                for (a, b) in row.iter_mut().zip(&ones) {
-                    *a ^= *b;
-                }
-                word &= word - 1;
-            }
-        }
-        // stream the table: row (c+1) is row c advanced by T
+        // a packed row's value at x0 + N·y is rhs ^ parity(proj & y):
+        // word w covers y = 64w + k, so the low six coordinates come
+        // from the pattern table and the rest flip the whole word
         let mut pt = recycle.unwrap_or_default();
         pt.clear();
-        pt.resize(cycles * chains * w0, 0);
-        let mut tt_next = vec![0u64; n * w0];
-        for c in 0..cycles {
-            let base = c * chains * w0;
-            for (ch, taps) in table.shifter_taps().iter().enumerate() {
-                let out = &mut pt[base + ch * w0..base + (ch + 1) * w0];
-                for &tap in taps {
-                    let src = &tt[tap as usize * w0..(tap as usize + 1) * w0];
-                    words::xor_in(out, src);
-                }
-            }
-            if c + 1 < cycles {
-                for (i, trow) in table.transition_rows().iter().enumerate() {
-                    let out = &mut tt_next[i * w0..(i + 1) * w0];
-                    out.fill(0);
-                    for &k in trow {
-                        let src = &tt[k as usize * w0..(k as usize + 1) * w0];
-                        for (a, b) in out.iter_mut().zip(src) {
-                            *a ^= *b;
-                        }
-                    }
-                }
-                std::mem::swap(&mut tt, &mut tt_next);
-            }
-        }
+        pt.reserve(table.cycles() * table.chains() * w0);
+        project_table(space, table, |packed| {
+            let proj = packed & FastElim::ROW_MASK;
+            let low = PARITY_LOW6[(proj & 63) as usize] ^ 0u64.wrapping_sub(packed >> 63);
+            pt.extend(ones.iter().enumerate().map(|(w, &o)| {
+                let high = u64::from(((proj >> 6) & w as u64).count_ones() & 1);
+                (low ^ 0u64.wrapping_sub(high)) & o
+            }));
+        });
         let c_mask = ones.clone();
         TtEngine {
             w0,
@@ -554,7 +538,7 @@ impl TtEngine {
 }
 
 /// Fixed-frame probing engine for free spaces of dimension
-/// `11..=63`: the frame (affine space + streamed projected table) is
+/// `11..=63`: the frame (affine space + clocked projected table) is
 /// taken once per seed. Every table row is packed as
 /// `projection | rhs << 63`, and — the crucial part — the table is
 /// kept **pre-reduced modulo the committed rows**: each commit sweeps
@@ -585,58 +569,10 @@ impl FixedEngine {
     fn build(space: &AffineSpace, table: &ExprTable, recycle: Option<Vec<u64>>) -> FixedEngine {
         let dim = space.dim();
         debug_assert!(dim <= Self::MAX_DIM);
-        let n = space.vars();
-        let stride = space.stride();
-        let chains = table.chains();
-        let cycles = table.cycles();
-        // W[i] bit j = (T^c N_j)[i], transposed so a chain's
-        // projection is an XOR over its taps; starts as N itself
-        let mut w = vec![0u64; n];
-        for j in 0..dim {
-            for (wi, &word) in space.null_row(j).iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    w[wi * 64 + word.trailing_zeros() as usize] |= 1u64 << j;
-                    word &= word - 1;
-                }
-            }
-        }
-        // z = T^c x0 drives the packed rhs bit
-        let mut z: Vec<u64> = space.x0_words().to_vec();
-        let mut w_next = vec![0u64; n];
-        let mut z_next = vec![0u64; stride];
         let mut pt = recycle.unwrap_or_default();
         pt.clear();
-        pt.resize(cycles * chains, 0);
-        for c in 0..cycles {
-            let base = c * chains;
-            for (ch, taps) in table.shifter_taps().iter().enumerate() {
-                let mut row = 0u64;
-                let mut e = false;
-                for &tap in taps {
-                    row ^= w[tap as usize];
-                    e ^= words::get_bit(&z, tap as usize);
-                }
-                pt[base + ch] = row | (u64::from(e) << 63);
-            }
-            if c + 1 < cycles {
-                z_next.fill(0);
-                for (i, trow) in table.transition_rows().iter().enumerate() {
-                    let mut acc = 0u64;
-                    let mut zb = false;
-                    for &k in trow {
-                        acc ^= w[k as usize];
-                        zb ^= words::get_bit(&z, k as usize);
-                    }
-                    w_next[i] = acc;
-                    if zb {
-                        z_next[i / 64] |= 1u64 << (i % 64);
-                    }
-                }
-                std::mem::swap(&mut w, &mut w_next);
-                std::mem::swap(&mut z, &mut z_next);
-            }
-        }
+        pt.reserve(table.cycles() * table.chains());
+        project_table(space, table, |packed| pt.push(packed));
         FixedEngine {
             dim,
             pt,
@@ -915,6 +851,7 @@ impl<'a> WindowEncoder<'a> {
         let cube_eqs = &cube_eqs;
         let mut scratch = ProbeScratch::default();
         let mut recycled_pt: Option<Vec<u64>> = None;
+        let mut packed = Vec::new();
         let mut seeds = Vec::new();
 
         while remaining_count > 0 {
@@ -1081,18 +1018,14 @@ impl<'a> WindowEncoder<'a> {
             //    remaining embedded cube at once.
             let seed = solver.solve_with(|_| rng.gen());
             debug_assert!(solver.check(&seed));
-            if solver.rank() == n {
-                let vectors = self.table.expand(&seed);
+            if solver.rank() == n && remaining_count > 0 {
+                self.pack_window(&seed, &mut packed);
                 for &ci in &order {
                     if !remaining[ci] {
                         continue;
                     }
-                    let cube = self.set.cube(ci);
-                    if let Some(v) = vectors.iter().position(|vec| cube.matches(vec)) {
-                        placements.push(Placement {
-                            cube: ci,
-                            position: v,
-                        });
+                    if let Some(position) = self.first_match(&packed, &cube_eqs[ci]) {
+                        placements.push(Placement { cube: ci, position });
                         remaining[ci] = false;
                         remaining_count -= 1;
                     }
@@ -1106,6 +1039,62 @@ impl<'a> WindowEncoder<'a> {
             window,
             lfsr_size: n,
             encoded_cubes: self.set.len(),
+        })
+    }
+
+    /// A seed's whole window, bit-sliced by position for the full-rank
+    /// fast path. Each [`PackedLfsrStream`] pass runs 64 window
+    /// positions as lanes, lane `v` started at `T^(v·r)·seed` by
+    /// walking a scalar register, and clocks them through one load of
+    /// `r` cycles. Word `b * rows_per_position() + off` then holds the
+    /// scan bit at row offset `off` ([`ExprTable::row_offset`]) for
+    /// positions `64b..64b+64`, one position per bit.
+    fn pack_window(&self, seed: &BitVec, packed: &mut Vec<u64>) {
+        let table = self.table;
+        let r = table.scan().depth();
+        let window = table.window();
+        packed.clear();
+        let mut walker = table.lfsr().clone();
+        walker.load(seed);
+        for start in (0..window).step_by(64) {
+            let lanes = (window - start).min(64);
+            let mut slices = vec![0u64; table.vars()];
+            for lane in 0..lanes {
+                for i in walker.state().iter_ones() {
+                    slices[i] |= 1 << lane;
+                }
+                walker.step_by(r as u64);
+            }
+            let mut stream = PackedLfsrStream::from_slices(table.lfsr(), slices, lanes);
+            for t in 0..r {
+                if t > 0 {
+                    stream.step();
+                }
+                for c in 0..table.chains() {
+                    packed.push(table.shifter().output_packed(stream.slices(), c));
+                }
+            }
+        }
+    }
+
+    /// The first window position of [`pack_window`](Self::pack_window)'s
+    /// output whose vector matches every care bit of `eqs` (a cube's
+    /// `(row offset, bit)` equations): each care bit masks the block's
+    /// candidate positions, and the lowest survivor wins.
+    fn first_match(&self, packed: &[u64], eqs: &[(u32, bool)]) -> Option<usize> {
+        let window = self.table.window();
+        let blocks = packed.chunks_exact(self.table.rows_per_position());
+        blocks.enumerate().find_map(|(b, block)| {
+            let lanes = (window - 64 * b).min(64);
+            let mut mask = !0u64 >> (64 - lanes);
+            for &(off, bit) in eqs {
+                let word = block[off as usize];
+                mask &= if bit { word } else { !word };
+                if mask == 0 {
+                    return None;
+                }
+            }
+            Some(64 * b + mask.trailing_zeros() as usize)
         })
     }
 
@@ -1725,7 +1714,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use ss_gf2::primitive_poly;
-    use ss_lfsr::{Lfsr, PhaseShifter};
+    use ss_lfsr::{Lfsr, LfsrKind, PhaseShifter};
     use ss_testdata::{generate_test_set, CubeProfile, ScanConfig};
 
     fn build_table(n: usize, scan: ScanConfig, window: usize, seed: u64) -> ExprTable {
@@ -1740,6 +1729,101 @@ mod tests {
         let set = generate_test_set(&profile, 5);
         let table = build_table(profile.lfsr_size, set.config(), window, 2);
         (set, table)
+    }
+
+    /// An affine space `x0 + span(N)` of exactly `dim` free dimensions
+    /// in `n` variables, cut out by random equations.
+    fn space_of_dim(n: usize, dim: usize, rng: &mut SmallRng) -> AffineSpace {
+        let mut solver = IncrementalSolver::new(n);
+        while solver.free_vars() > dim {
+            solver.insert(&BitVec::random(n, rng), rng.gen());
+        }
+        let space = solver.affine_space();
+        assert_eq!(space.dim(), dim);
+        space
+    }
+
+    #[test]
+    fn prober_tables_equal_the_projected_expression_table() {
+        // the kernel-built tables against the expression table itself:
+        // one-word rows hold row·N_j in bit j and row·x0 in bit 63, and
+        // truth tables hold the row's value at x0 + N·y in bit y
+        let mut rng = SmallRng::seed_from_u64(21);
+        let scan = ScanConfig::new(5, 3).unwrap();
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            for n in [24usize, 63, 64, 65, 129] {
+                let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
+                let shifter = PhaseShifter::synthesize(n, scan.chains(), 3, &mut rng).unwrap();
+                let table = ExprTable::build(&lfsr, &shifter, scan, 4);
+                let rows = table.cycles() * table.chains();
+                for dim in [0usize, 5, 6, 7, 10, 11, 62, 63] {
+                    if dim > n {
+                        continue;
+                    }
+                    let space = space_of_dim(n, dim, &mut rng);
+                    let fixed = FixedEngine::build(&space, &table, None);
+                    assert_eq!(fixed.pt.len(), rows);
+                    for (i, &packed) in fixed.pt.iter().enumerate() {
+                        let row = table.row_words(i);
+                        let mut expect = u64::from(words::dot(row, space.x0_words())) << 63;
+                        for j in 0..dim {
+                            expect |= u64::from(words::dot(row, space.null_row(j))) << j;
+                        }
+                        assert_eq!(packed, expect, "{kind} n={n} dim={dim} row {i}");
+                    }
+                    if dim > TtEngine::MAX_DIM {
+                        continue;
+                    }
+                    let tt = TtEngine::build(&space, &table, None);
+                    assert_eq!(tt.pt.len(), rows * tt.w0);
+                    for (i, truth) in tt.pt.chunks_exact(tt.w0).enumerate() {
+                        for y in 0..1usize << dim {
+                            let mut x = space.x0_words().to_vec();
+                            for j in (0..dim).filter(|&j| (y >> j) & 1 == 1) {
+                                words::xor_in(&mut x, space.null_row(j));
+                            }
+                            assert_eq!(
+                                words::get_bit(truth, y),
+                                words::dot(table.row_words(i), &x),
+                                "{kind} n={n} dim={dim} row {i} y={y}"
+                            );
+                        }
+                        let outside = truth.iter().zip(&tt.ones).any(|(w, o)| w & !o != 0);
+                        assert!(!outside, "{kind} n={n} dim={dim} row {i}: bits past 2^dim");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_window_equals_the_scalar_expansion_across_blocks() {
+        let mut rng = SmallRng::seed_from_u64(22);
+        let set = generate_test_set(&CubeProfile::mini(), 5);
+        let scan = set.config();
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            let lfsr = Lfsr::try_new(primitive_poly(20).unwrap(), kind).unwrap();
+            let shifter = PhaseShifter::synthesize(20, scan.chains(), 3, &mut rng).unwrap();
+            for window in [1usize, 63, 64, 65, 130] {
+                let table = ExprTable::build(&lfsr, &shifter, scan, window);
+                let enc = WindowEncoder::new(&set, &table).unwrap();
+                let seed = BitVec::random(20, &mut rng);
+                let mut packed = Vec::new();
+                enc.pack_window(&seed, &mut packed);
+                let rows = table.rows_per_position();
+                assert_eq!(packed.len(), window.div_ceil(64) * rows);
+                for (position, vector) in table.expand(&seed).iter().enumerate() {
+                    for cell in 0..scan.cells() {
+                        let word = packed[(position / 64) * rows + table.row_offset(cell)];
+                        assert_eq!(
+                            (word >> (position % 64)) & 1 == 1,
+                            vector.get(cell),
+                            "{kind} L={window} position {position} cell {cell}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

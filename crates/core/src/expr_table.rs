@@ -53,14 +53,11 @@ pub struct ExprTable {
     cycles: usize,
     scan: ScanConfig,
     window: usize,
-    /// The LFSR transition `T` in sparse form ([`Lfsr::transition_rows`]):
-    /// row `t+1` of the table is row `t` advanced by `T`, which lets
-    /// derived per-round tables (the encoder's projected expressions)
-    /// be *streamed* cycle by cycle instead of recomputed per row.
-    transition_rows: Vec<Vec<u32>>,
-    /// Every chain's phase-shifter taps ([`PhaseShifter::tap_lists`]):
-    /// the cycle-0 rows in sparse form.
-    shifter_taps: Vec<Vec<u32>>,
+    /// The hardware the table was built from: the encoder clocks it
+    /// bit-sliced to derive per-seed tables and to expand full-rank
+    /// seeds.
+    lfsr: Lfsr,
+    shifter: PhaseShifter,
 }
 
 impl ExprTable {
@@ -93,10 +90,8 @@ impl ExprTable {
     /// The reference oracle for [`build`](Self::build): steps an
     /// [`ExpressionStream`] (one symbolic row per LFSR cell, a fresh
     /// [`BitVec`] per cell per cycle) and reads each chain's
-    /// expression off it. Its sparse transition rows and shifter taps
-    /// are read off the dense matrices, so equality also pins the
-    /// sparse structure the encoder streams with. Kept only to pin
-    /// `build` — the two must agree word for word.
+    /// expression off it. Kept only to pin `build` — the two must
+    /// agree word for word.
     ///
     /// # Panics
     ///
@@ -118,14 +113,10 @@ impl ExprTable {
             }
             stream.step();
         }
-        let sparse = |row: &BitVec| row.iter_ones().map(|i| i as u32).collect();
-        table.transition_rows = lfsr.transition_matrix().iter_rows().map(sparse).collect();
-        table.shifter_taps = shifter.rows().iter_rows().map(sparse).collect();
         table
     }
 
-    /// A zero-filled table of the right shape, carrying the sparse
-    /// transition rows and shifter taps of `lfsr` and `shifter`.
+    /// A zero-filled table of the right shape, carrying its hardware.
     fn empty(lfsr: &Lfsr, shifter: &PhaseShifter, scan: ScanConfig, window: usize) -> Self {
         assert_eq!(
             shifter.output_count(),
@@ -149,23 +140,21 @@ impl ExprTable {
             cycles,
             scan,
             window,
-            transition_rows: lfsr.transition_rows(),
-            shifter_taps: shifter.tap_lists().to_vec(),
+            lfsr: lfsr.clone(),
+            shifter: shifter.clone(),
         }
     }
 
-    /// The LFSR transition `T` the table was built from, in sparse
-    /// form: `transition_rows()[i]` lists the cells whose values XOR
-    /// into cell `i` one clock later (`expr(t+1, c) = expr(t, c) * T`).
-    pub fn transition_rows(&self) -> &[Vec<u32>] {
-        &self.transition_rows
+    /// The LFSR the table was built from, for clocking it with
+    /// [`PackedLfsrStream`] (only its kind and feedback taps matter).
+    pub fn lfsr(&self) -> &Lfsr {
+        &self.lfsr
     }
 
-    /// The phase-shifter taps the table was built from:
-    /// `shifter_taps()[c]` lists chain `c`'s cells, which are also the
-    /// ones of row `expr(0, c)`.
-    pub fn shifter_taps(&self) -> &[Vec<u32>] {
-        &self.shifter_taps
+    /// The phase shifter the table was built from: chain `c`'s output
+    /// is row `expr(0, c)` at cycle 0.
+    pub fn shifter(&self) -> &PhaseShifter {
+        &self.shifter
     }
 
     /// Number of scan chains (rows per cycle).
@@ -299,8 +288,9 @@ impl ExprTable {
     /// Evaluates the whole window for a concrete seed: the `L` test
     /// vectors the decompressor would generate in Normal mode.
     /// Identical to [`try_expand_seed`](crate::try_expand_seed) but
-    /// computed from the table (used by the encoder's fast path once a
-    /// seed is fully determined).
+    /// computed from the table, one scalar dot product per cell: the
+    /// reference encoder's full-rank matcher, independent of the
+    /// bit-sliced kernel the production encoder uses.
     ///
     /// # Panics
     ///

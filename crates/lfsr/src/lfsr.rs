@@ -77,7 +77,7 @@ impl Error for LfsrError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr {
     poly: Gf2Poly,
     kind: LfsrKind,
@@ -250,30 +250,6 @@ impl Lfsr {
         t
     }
 
-    /// The rows of [`transition_matrix`](Lfsr::transition_matrix) in
-    /// sparse form, read straight off the feedback structure:
-    /// `rows[i]` lists, ascending, the cells whose current values XOR
-    /// into cell `i`'s next value. Streaming code that advances a
-    /// symbolic or packed state by `T` walks these instead of the
-    /// dense matrix.
-    pub fn transition_rows(&self) -> Vec<Vec<u32>> {
-        let n = self.size;
-        let mut rows: Vec<Vec<u32>> = (1..n).map(|i| vec![i as u32]).collect();
-        match self.kind {
-            // the feedback cell takes the tap parity
-            LfsrKind::Fibonacci => rows.push(self.taps.iter_ones().map(|j| j as u32).collect()),
-            // the recirculated cell 0 enters the last cell and every
-            // cell j - 1 below a tap j > 0
-            LfsrKind::Galois => {
-                for j in self.taps.iter_ones().filter(|&j| j > 0) {
-                    rows[j - 1].insert(0, 0);
-                }
-                rows.push(vec![0]);
-            }
-        }
-        rows
-    }
-
     /// Generates the serial output sequence of the next `len` clocks
     /// (mutating the state).
     pub fn output_sequence(&mut self, len: usize) -> Vec<bool> {
@@ -347,21 +323,6 @@ mod tests {
                 let expected = t.mul_vec(l.state());
                 l.step();
                 assert_eq!(*l.state(), expected, "{kind}: step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn transition_rows_are_the_sparse_matrix() {
-        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
-            for n in [3usize, 9, 64, 65, 168] {
-                let l = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
-                let t = l.transition_matrix();
-                let dense: Vec<Vec<u32>> = t
-                    .iter_rows()
-                    .map(|row| row.iter_ones().map(|j| j as u32).collect())
-                    .collect();
-                assert_eq!(l.transition_rows(), dense, "{kind} n={n}");
             }
         }
     }

@@ -15,9 +15,12 @@
 //! consecutive window positions of one seed, which is how
 //! `ss-core` packs a window into [`ss_gf2::PackedPatterns`] blocks.
 //! Lanes can also hold unrelated registers
-//! ([`PackedLfsrStream::from_states`]): `ss-core` clocks 64 seeds side
-//! by side to match cubes, and the unit seeds `e_v` to build its
-//! expression table (lane `v` at cycle `t` is column `v` of `T^t`).
+//! ([`PackedLfsrStream::from_states`], or already transposed through
+//! [`PackedLfsrStream::from_slices`]): `ss-core` clocks 64 seeds side
+//! by side to match cubes, the unit seeds `e_v` to build its
+//! expression table (lane `v` at cycle `t` is column `v` of `T^t`),
+//! and a seed's probing frame — its null-space basis and particular
+//! solution — to project that table into the frame.
 //!
 //! [`step`]: PackedLfsrStream::step
 
@@ -121,10 +124,10 @@ impl PackedLfsrStream {
     }
 
     /// Creates a stream that loads one explicit state per lane: lane
-    /// `v` holds the `v`-th item of `states`. This is the constructor
-    /// every other one funnels into, and the one that clocks unrelated
-    /// registers side by side — 64 seeds of an encoding, or the unit
-    /// seeds `e_v`, whose lanes trace columns of `T^t`.
+    /// `v` holds the `v`-th item of `states`. This is the form that
+    /// clocks unrelated registers side by side — 64 seeds of an
+    /// encoding, or the unit seeds `e_v`, whose lanes trace columns of
+    /// `T^t` — and it funnels into [`from_slices`](Self::from_slices).
     ///
     /// # Panics
     ///
@@ -150,7 +153,29 @@ impl PackedLfsrStream {
             }
             lanes += 1;
         }
-        assert!(lanes > 0, "lane count 0 outside 1..=64");
+        PackedLfsrStream::from_slices(lfsr, slices, lanes)
+    }
+
+    /// Creates a stream from an already bit-sliced state: `slices[i]`
+    /// carries cell `i` of every lane, lane `v` in bit `v`. This is
+    /// the constructor every other one funnels into. Callers that
+    /// hold their lanes transposed already load them with no
+    /// per-lane work — the encoder's probing frame, for one, puts
+    /// the null-space basis `N_j` in lane `j` and the particular
+    /// solution `x0` in lane 63.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slices.len() != lfsr.size()`, `lanes` is outside
+    /// `1..=64`, or a slice has a bit set at or above lane `lanes`.
+    pub fn from_slices(lfsr: &Lfsr, slices: Vec<u64>, lanes: usize) -> Self {
+        assert_eq!(slices.len(), lfsr.size(), "seed width mismatch");
+        assert!(
+            (1..=64).contains(&lanes),
+            "lane count {lanes} outside 1..=64"
+        );
+        let beyond = slices.iter().any(|&w| lanes < 64 && w >> lanes != 0);
+        assert!(!beyond, "slice bits beyond lane count {lanes}");
         PackedLfsrStream {
             kind: lfsr.kind(),
             taps: lfsr.tap_indices(),
@@ -405,6 +430,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_slices_equals_from_states_on_transposed_lanes() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            let lfsr = Lfsr::try_new(primitive_poly(70).unwrap(), kind).unwrap();
+            let seeds: Vec<BitVec> = (0..64).map(|_| BitVec::random(70, &mut rng)).collect();
+            let mut slices = vec![0u64; 70];
+            for (lane, seed) in seeds.iter().enumerate() {
+                for i in seed.iter_ones() {
+                    slices[i] |= 1 << lane;
+                }
+            }
+            let mut sliced = PackedLfsrStream::from_slices(&lfsr, slices, 64);
+            let mut states = PackedLfsrStream::from_states(&lfsr, &seeds);
+            for step in 0..25 {
+                assert_eq!(sliced.slices(), states.slices(), "{kind} step {step}");
+                sliced.step();
+                states.step();
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond lane count")]
+    fn from_slices_rejects_bits_past_the_lane_count() {
+        let lfsr = Lfsr::fibonacci(primitive_poly(6).unwrap());
+        let _ = PackedLfsrStream::from_slices(&lfsr, vec![0, 0, 1 << 5, 0, 0, 0], 5);
     }
 
     #[test]

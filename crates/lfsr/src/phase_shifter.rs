@@ -75,7 +75,7 @@ impl Error for PhaseShifterError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseShifter {
     rows: BitMatrix, // m x n
     /// `taps[j]` = the ones of row `j`, ascending: the sparse form

@@ -30,16 +30,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Cached and parallel searches reproduce the reference encoding
-    /// exactly for random workloads x window in {1, 8, 24} x threads
-    /// in {1, 4}.
+    /// exactly for random workloads x window in {1, 8, 24, 70, 200} x
+    /// threads in {1, 4}. The two long windows span two and four
+    /// 64-position blocks of the packed full-rank matcher (200 is the
+    /// paper's Table 4 setting).
     #[test]
     fn cached_and_parallel_encoders_match_reference_exactly(
         set_seed in any::<u64>(),
         fill_seed in any::<u64>(),
-        window_idx in 0usize..3,
+        window_idx in 0usize..5,
         extra_bits in 0usize..24,
     ) {
-        let window = [1usize, 8, 24][window_idx];
+        let window = [1usize, 8, 24, 70, 200][window_idx];
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, set_seed);
         // n sweeps across all three probing tiers as extra_bits grows
@@ -102,6 +104,38 @@ fn registry_workloads_encode_bit_identically_at_any_thread_count() {
                 threads
             );
         }
+    }
+}
+
+/// A registry workload at the paper's window `L = 200` encodes
+/// bit-identically to the reference at 1 and 4 threads: full-rank
+/// seeds there are matched across four 64-position blocks.
+#[test]
+fn registry_workload_at_the_paper_window_encodes_bit_identically() {
+    let workload = WorkloadRegistry::find("s9234").expect("registry entry");
+    let profile = workload.profile().expect("paper profile");
+    let set = workload.test_set_scaled(0.05);
+    let engine = Engine::builder()
+        .window(200)
+        .segment(4)
+        .speedup(6)
+        .lfsr_size(profile.lfsr_size)
+        .build()
+        .expect("paper knobs are valid");
+    let ctx = engine.synthesize(&set).expect("synthesis succeeds");
+    let (set, _) = ctx.encodable_subset(&set);
+    let encoder = WindowEncoder::new(&set, ctx.table()).expect("one geometry");
+    let reference = encoder
+        .encode_reference(engine.config().fill_seed)
+        .expect("s9234 encodes");
+    for threads in [1usize, 4] {
+        assert_eq!(
+            encoder
+                .encode_with_threads(engine.config().fill_seed, threads)
+                .expect("s9234 encodes"),
+            reference,
+            "s9234 at L=200: diverged at {threads} threads"
+        );
     }
 }
 
